@@ -279,12 +279,7 @@ impl Session {
         let budget_kib: u64 = budget_s
             .parse()
             .map_err(|_| "usage: recommend <budget-KiB> [greedy|topdown|baseline]")?;
-        let strategy = match strat_s.trim() {
-            "" | "greedy" => SearchStrategy::GreedyHeuristic,
-            "topdown" | "top-down" => SearchStrategy::TopDown,
-            "baseline" => SearchStrategy::GreedyBaseline,
-            other => return Err(format!("unknown strategy '{other}'")),
-        };
+        let strategy: SearchStrategy = strat_s.trim().parse()?;
         if self.workload.query_count() == 0 {
             return Err("workload is empty".into());
         }

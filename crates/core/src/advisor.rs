@@ -125,6 +125,19 @@ impl CompressedRecommendation {
     }
 }
 
+/// A chosen configuration (DAG node indices) as creatable index
+/// definitions, numbered from 1 in configuration order.
+pub(crate) fn index_definitions(dag: &Dag, chosen: &[usize]) -> Vec<IndexDefinition> {
+    chosen
+        .iter()
+        .enumerate()
+        .map(|(seq, &node)| {
+            let c = &dag.nodes[node].candidate;
+            IndexDefinition::new(IndexId(seq as u32 + 1), c.pattern.clone(), c.data_type)
+        })
+        .collect()
+}
+
 impl Advisor {
     pub fn new(config: AdvisorConfig) -> Advisor {
         Advisor { config }
@@ -148,17 +161,8 @@ impl Advisor {
             budget_bytes,
             strategy,
         );
-        let indexes = outcome
-            .chosen
-            .iter()
-            .enumerate()
-            .map(|(seq, &node)| {
-                let c = &dag.nodes[node].candidate;
-                IndexDefinition::new(IndexId(seq as u32 + 1), c.pattern.clone(), c.data_type)
-            })
-            .collect();
         Recommendation {
-            indexes,
+            indexes: index_definitions(&dag, &outcome.chosen),
             basic_candidates: basic,
             dag,
             outcome,
@@ -212,19 +216,9 @@ impl Advisor {
             budget_bytes,
             &opts,
         );
-        let indexes = any
-            .outcome
-            .chosen
-            .iter()
-            .enumerate()
-            .map(|(seq, &node)| {
-                let c = &dag.nodes[node].candidate;
-                IndexDefinition::new(IndexId(seq as u32 + 1), c.pattern.clone(), c.data_type)
-            })
-            .collect();
         let scan = scan_cost_upper_bound(collection, &self.config.cost_model);
         CompressedRecommendation {
-            indexes,
+            indexes: index_definitions(&dag, &any.outcome.chosen),
             dag,
             outcome: any.outcome,
             telemetry: any.telemetry,

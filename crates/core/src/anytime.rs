@@ -1,16 +1,16 @@
-//! Anytime configuration search: an interruptible, resumable driver
-//! around the paper's greedy search, plus optional exhaustive
-//! refinement on small DAGs.
+//! The paper's greedy configuration search, as an interruptible,
+//! resumable driver, plus optional exhaustive refinement on small DAGs.
 //!
-//! The offline strategies in [`crate::search`] run to completion; the
-//! daemon's ADVISE cycle cannot afford that under heavy traffic. This
-//! driver executes the *same* greedy algorithm (identical add loop,
-//! OR-group stall handling, eviction pass and drop-unused guarantee —
-//! with an unbounded budget and no warm start it returns the exact
-//! `GreedyHeuristic` configuration) but checks a wall-clock /
-//! evaluation budget between what-if evaluations and can stop at any
-//! point, returning the best configuration found so far together with
-//! convergence telemetry.
+//! This is the only implementation of the greedy search (§2.3): add by
+//! marginal, interaction-aware benefit per byte behind the workload
+//! coverage bitmap, add a whole OR group when single adds stall, evict
+//! indexes whose removal costs nothing, drop indexes no plan uses.
+//! [`crate::search`] runs it to completion for
+//! `SearchStrategy::GreedyHeuristic` and `GreedyAblated`; the daemon's
+//! ADVISE cycle, which cannot afford that under heavy traffic, runs it
+//! in slices: the driver checks a wall-clock / evaluation budget
+//! between what-if evaluations and can stop at any point, returning the
+//! best configuration found so far together with convergence telemetry.
 //!
 //! The frontier is plain data ([`AnytimeState`]): callers may stop a
 //! search and [`anytime_step`] it again later — each slice resumes
@@ -30,7 +30,7 @@
 use std::time::{Duration, Instant};
 
 use crate::generalize::Dag;
-use crate::search::{outcome, try_or_group_add, GreedyKnobs, SearchOutcome};
+use crate::search::{outcome, GreedyKnobs, SearchOutcome};
 use crate::whatif::{normalize, EngineConfig, WhatIfEngine};
 use crate::workload::Workload;
 use xia_optimizer::CostModel;
@@ -71,10 +71,9 @@ pub struct AnytimeOptions {
     /// Per-slice stop condition.
     pub budget: AnytimeBudget,
     /// Run exhaustive subset refinement when the DAG has at most this
-    /// many nodes. `0` disables refinement, which keeps the completed
-    /// search bit-identical to `SearchStrategy::GreedyHeuristic` (the
-    /// daemon relies on this so online ADVISE matches offline
-    /// RECOMMEND).
+    /// many nodes. `0` disables refinement, so a completed search is
+    /// exactly `SearchStrategy::GreedyHeuristic` (the daemon relies on
+    /// this so online ADVISE matches offline RECOMMEND).
     pub refine_max_nodes: usize,
     /// Start from this configuration (DAG node indices) instead of the
     /// empty one. Over-budget warm starts are trimmed largest-first.
@@ -267,9 +266,29 @@ pub fn anytime_step(
     let start = Instant::now();
     let mut ev =
         WhatIfEngine::from_workload(collection, model, workload, dag, EngineConfig::default());
+    drive(
+        state,
+        &mut ev,
+        GreedyKnobs::default(),
+        budget_bytes,
+        opts,
+        start,
+    )
+}
+
+/// The greedy search itself: one slice over a caller-built engine, with
+/// the heuristics selected by `knobs`. `start` is when the slice began
+/// (engine construction counts against the wall budget).
+pub(crate) fn drive(
+    state: &mut AnytimeState,
+    ev: &mut WhatIfEngine<'_>,
+    knobs: GreedyKnobs,
+    budget_bytes: u64,
+    opts: &AnytimeOptions,
+    start: Instant,
+) -> AnytimeOutcome {
     state.telemetry.resumes += 1;
     let mut slice_evals: u64 = 0;
-    let knobs = GreedyKnobs::default();
     let n = ev.dag.nodes.len();
 
     // One driver evaluation, counted against slice and lifetime budgets.
@@ -306,7 +325,7 @@ pub fn anytime_step(
                 let base = eval!(&[]);
                 state
                     .trace
-                    .push(format!("anytime: no-index workload cost {base:.1}"));
+                    .push(format!("greedy: no-index workload cost {base:.1}"));
                 // Warm start: previous cycle's configuration, trimmed
                 // largest-first until it fits the disk budget.
                 let mut warm: Vec<usize> = normalize(
@@ -359,6 +378,8 @@ pub fn anytime_step(
                 let mut scan = state.scan.take().unwrap();
                 while scan.next < n {
                     let i = scan.next;
+                    // Coverage bitmap heuristic: skip indexes that would not
+                    // give any so-far-uncovered workload pattern an index.
                     if state.chosen.contains(&i)
                         || scan.used + ev.dag.nodes[i].candidate.size_bytes > budget_bytes
                         || (knobs.coverage_bitmap && ev.coverage[i] & !state.covered == 0)
@@ -400,17 +421,16 @@ pub fn anytime_step(
                         point!(scan.current - marginal);
                     }
                     None => {
-                        // Single additions stalled: try one whole OR group,
-                        // exactly as the offline greedy does.
+                        // Single additions have stalled. Disjunctive
+                        // predicates only pay off when every branch of an
+                        // OR group is covered at once (index interaction
+                        // the one-at-a-time scan cannot see), so try
+                        // adding one whole group as a unit.
                         slice_evals += 1;
                         state.telemetry.evals += 1;
-                        if let Some(added) = try_or_group_add(
-                            &mut ev,
-                            &state.chosen,
-                            state.covered,
-                            budget_bytes,
-                            knobs,
-                        ) {
+                        if let Some(added) =
+                            try_or_group_add(ev, &state.chosen, state.covered, budget_bytes, knobs)
+                        {
                             for &i in &added {
                                 state.covered |= ev.coverage[i];
                                 state.trace.push(format!(
@@ -441,7 +461,14 @@ pub fn anytime_step(
                     }
                 }
             }
+            // Eviction pass: reclaim space held by indexes whose removal
+            // does not hurt (their patterns are covered by other chosen
+            // indexes).
             Phase::Evict => {
+                if !knobs.eviction {
+                    state.phase = Phase::DropUnused;
+                    continue;
+                }
                 if state.evict_current.is_none() {
                     if over!() {
                         suspended = true;
@@ -482,22 +509,26 @@ pub fn anytime_step(
                     suspended = true;
                     break 'drive;
                 }
-                slice_evals += 1;
-                state.telemetry.evals += 1;
-                let (_, used_per_query) = ev.detail(&state.chosen);
-                let used_set: std::collections::HashSet<usize> =
-                    used_per_query.iter().flatten().copied().collect();
-                let trace = &mut state.trace;
-                state.chosen.retain(|i| {
-                    let keep = used_set.contains(i);
-                    if !keep {
-                        trace.push(format!(
-                            "drop unused {} (not used by any plan)",
-                            ev.dag.nodes[*i].candidate.pattern
-                        ));
-                    }
-                    keep
-                });
+                // Guarantee: every recommended index is used by some
+                // query's best plan.
+                if knobs.drop_unused {
+                    slice_evals += 1;
+                    state.telemetry.evals += 1;
+                    let (_, used_per_query) = ev.detail(&state.chosen);
+                    let used_set: std::collections::HashSet<usize> =
+                        used_per_query.iter().flatten().copied().collect();
+                    let trace = &mut state.trace;
+                    state.chosen.retain(|i| {
+                        let keep = used_set.contains(i);
+                        if !keep {
+                            trace.push(format!(
+                                "drop unused {} (not used by any plan)",
+                                ev.dag.nodes[*i].candidate.pattern
+                            ));
+                        }
+                        keep
+                    });
+                }
                 let refine = opts.refine_max_nodes > 0 && n <= opts.refine_max_nodes && n < 26;
                 state.phase = if refine { Phase::Refine } else { Phase::Done };
             }
@@ -566,9 +597,65 @@ pub fn anytime_step(
         ));
     }
     AnytimeOutcome {
-        outcome: outcome(&mut ev, best, trace),
+        outcome: outcome(ev, best, trace),
         telemetry: state.telemetry.clone(),
     }
+}
+
+/// Find one OR group whose branches can all be covered by adding new
+/// candidates within budget with positive combined marginal benefit.
+/// Returns the candidate set to add, or `None`.
+fn try_or_group_add(
+    ev: &mut WhatIfEngine<'_>,
+    chosen: &[usize],
+    covered: u128,
+    budget: u64,
+    knobs: GreedyKnobs,
+) -> Option<Vec<usize>> {
+    let groups = ev.or_groups();
+    let used: u64 = ev.size(chosen);
+    let current = ev.cost(chosen);
+    for branches in groups {
+        // Nothing to do if the group is already fully covered.
+        if knobs.coverage_bitmap && branches.iter().all(|b| b & covered != 0) {
+            continue;
+        }
+        // Per branch, the cheapest candidate covering any of its atoms.
+        let mut add: Vec<usize> = Vec::new();
+        let mut ok = true;
+        for branch_mask in &branches {
+            if branch_mask & covered != 0 {
+                continue; // branch already covered by a chosen index
+            }
+            let best = (0..ev.dag.nodes.len())
+                .filter(|i| !chosen.contains(i) && !add.contains(i))
+                .filter(|&i| ev.coverage[i] & branch_mask != 0)
+                .min_by_key(|&i| ev.dag.nodes[i].candidate.size_bytes);
+            match best {
+                Some(i) => add.push(i),
+                None => {
+                    ok = false;
+                    break;
+                }
+            }
+        }
+        if !ok || add.is_empty() {
+            continue;
+        }
+        let add_size: u64 = add
+            .iter()
+            .map(|&i| ev.dag.nodes[i].candidate.size_bytes)
+            .sum();
+        if used + add_size > budget {
+            continue;
+        }
+        let mut with = chosen.to_vec();
+        with.extend(&add);
+        if current - ev.cost(&with) > 0.0 {
+            return Some(add);
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -610,27 +697,6 @@ mod tests {
         "/site/asia/item[price = 17]/quantity",
         "/site/europe/item[quantity = 2]/price",
     ];
-
-    #[test]
-    fn unbounded_run_matches_offline_greedy() {
-        let (c, w, dag) = setup(400, QUERIES);
-        let model = CostModel::default();
-        let budget = 1 << 20;
-        let greedy = search(
-            &c,
-            &model,
-            &w,
-            &dag,
-            budget,
-            SearchStrategy::GreedyHeuristic,
-        );
-        let any = anytime_search(&c, &model, &w, &dag, budget, &AnytimeOptions::default());
-        assert_eq!(any.outcome.chosen, greedy.chosen);
-        assert_eq!(any.outcome.workload_cost, greedy.workload_cost);
-        assert!(!any.telemetry.exhausted);
-        assert!(!any.telemetry.curve.is_empty());
-        assert!(any.telemetry.iterations > 0);
-    }
 
     #[test]
     fn chopped_resume_converges_to_uninterrupted_result() {

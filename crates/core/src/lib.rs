@@ -70,8 +70,8 @@ pub use multi::{CollectionAdvice, DatabaseRecommendation};
 pub use review::{render_reviews, review_existing_indexes, IndexReview, IndexVerdict};
 pub use search::{search_with, GreedyKnobs, SearchOutcome, SearchStrategy};
 pub use tenancy::{
-    allocate, merge_frontiers, pages_for, Allocation, FrontierItem, TenantAllocation,
-    TenantFrontier, PAGE_BYTES,
+    allocate, frontier_items, merge_frontiers, pages_for, Allocation, FrontierItem,
+    TenantAllocation, TenantFrontier, PAGE_BYTES,
 };
 pub use whatif::{reference_cost, reference_detail, EngineConfig, EvalStats, WhatIfEngine};
 pub use workload::{Statement, StatementKind, Workload};

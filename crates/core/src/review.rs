@@ -115,8 +115,8 @@ pub fn review_existing_indexes(
         (IndexVerdict::Drop, IndexVerdict::Drop) => b.reclaim_bytes.cmp(&a.reclaim_bytes),
         (IndexVerdict::Keep, IndexVerdict::Keep) => a
             .cost_if_dropped
-            .partial_cmp(&b.cost_if_dropped)
-            .unwrap_or(std::cmp::Ordering::Equal),
+            .total_cmp(&b.cost_if_dropped)
+            .then(a.definition.id.cmp(&b.definition.id)),
     });
     reviews
 }

@@ -20,11 +20,16 @@
 //!   (redundancy detection), an eviction pass that reclaims space from
 //!   indexes whose removal costs nothing, and a final guarantee that
 //!   every recommended index is used by at least one workload query.
+//!   Implemented once, by the resumable driver in [`crate::anytime`];
+//!   this strategy is that driver run to completion.
 //! * [`SearchStrategy::TopDown`] — the paper's root-to-leaf DAG search:
 //!   start from the DAG roots (most general, maximum potential benefit),
 //!   and repeatedly replace the largest over-budget index with its more
 //!   specific (smaller) children until the configuration fits.
 
+use std::time::Instant;
+
+use crate::anytime::{drive, AnytimeOptions, AnytimeState};
 use crate::generalize::Dag;
 use crate::whatif::{EngineConfig, EvalStats, WhatIfEngine};
 use crate::workload::Workload;
@@ -75,6 +80,22 @@ impl std::fmt::Display for SearchStrategy {
                 "greedy[bitmap={} evict={} drop={}]",
                 k.coverage_bitmap, k.eviction, k.drop_unused
             ),
+        }
+    }
+}
+
+/// Parses the console/wire short names (`greedy`, `topdown`, `top-down`,
+/// `baseline`) and the [`Display`](std::fmt::Display) forms of the three
+/// named strategies. The empty string is the default, `GreedyHeuristic`.
+impl std::str::FromStr for SearchStrategy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "" | "greedy" | "greedy-heuristic" => Ok(SearchStrategy::GreedyHeuristic),
+            "topdown" | "top-down" => Ok(SearchStrategy::TopDown),
+            "baseline" | "greedy-baseline" => Ok(SearchStrategy::GreedyBaseline),
+            other => Err(format!("unknown strategy '{other}'")),
         }
     }
 }
@@ -139,14 +160,23 @@ pub fn search_with(
     engine: EngineConfig,
 ) -> SearchOutcome {
     let mut ev = WhatIfEngine::from_workload(collection, model, workload, dag, engine);
-    match strategy {
-        SearchStrategy::GreedyBaseline => greedy_baseline(&mut ev, budget_bytes),
-        SearchStrategy::GreedyHeuristic => {
-            greedy_heuristic(&mut ev, budget_bytes, GreedyKnobs::default())
-        }
-        SearchStrategy::GreedyAblated(knobs) => greedy_heuristic(&mut ev, budget_bytes, knobs),
-        SearchStrategy::TopDown => top_down(&mut ev, budget_bytes),
-    }
+    let knobs = match strategy {
+        SearchStrategy::GreedyBaseline => return greedy_baseline(&mut ev, budget_bytes),
+        SearchStrategy::TopDown => return top_down(&mut ev, budget_bytes),
+        SearchStrategy::GreedyHeuristic => GreedyKnobs::default(),
+        SearchStrategy::GreedyAblated(knobs) => knobs,
+    };
+    // The greedy search is the anytime driver run to completion: no
+    // slice budget, no warm start, no refinement.
+    drive(
+        &mut AnytimeState::new(),
+        &mut ev,
+        knobs,
+        budget_bytes,
+        &AnytimeOptions::default(),
+        Instant::now(),
+    )
+    .outcome
 }
 
 // ---------------------------------------------------------------------------
@@ -160,7 +190,7 @@ pub fn search_with(
 // coverage bitmap.
 
 /// Package a finished search into a [`SearchOutcome`]. Shared with the
-/// anytime driver in [`crate::anytime`].
+/// greedy driver in [`crate::anytime`].
 pub(crate) fn outcome(
     ev: &mut WhatIfEngine<'_>,
     chosen: Vec<usize>,
@@ -198,7 +228,7 @@ fn greedy_baseline(ev: &mut WhatIfEngine<'_>, budget: u64) -> SearchOutcome {
         })
         .filter(|&(_, r)| r > 0.0)
         .collect();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
 
     let mut chosen: Vec<usize> = Vec::new();
     let mut used: u64 = 0;
@@ -218,169 +248,6 @@ fn greedy_baseline(ev: &mut WhatIfEngine<'_>, budget: u64) -> SearchOutcome {
         chosen.push(i);
     }
     outcome(ev, chosen, trace)
-}
-
-// ---------------------------------------------------------------------------
-// Strategy 2: the paper's greedy search with heuristics.
-// ---------------------------------------------------------------------------
-
-fn greedy_heuristic(ev: &mut WhatIfEngine<'_>, budget: u64, knobs: GreedyKnobs) -> SearchOutcome {
-    let base = ev.cost(&[]);
-    let mut trace = vec![format!("greedy: no-index workload cost {base:.1}")];
-    let mut chosen: Vec<usize> = Vec::new();
-    let mut covered: u128 = 0;
-
-    loop {
-        let used: u64 = ev.size(&chosen);
-        let current = ev.cost(&chosen);
-        let mut best: Option<(usize, f64, f64)> = None; // (node, marginal, ratio)
-        for i in 0..ev.dag.nodes.len() {
-            if chosen.contains(&i) {
-                continue;
-            }
-            let size = ev.dag.nodes[i].candidate.size_bytes;
-            if used + size > budget {
-                continue;
-            }
-            // Coverage bitmap heuristic: skip indexes that would not give
-            // any so-far-uncovered workload pattern an index.
-            if knobs.coverage_bitmap && ev.coverage[i] & !covered == 0 {
-                continue;
-            }
-            let mut with = chosen.clone();
-            with.push(i);
-            let marginal = current - ev.cost(&with);
-            if marginal <= 0.0 {
-                continue;
-            }
-            let ratio = marginal / size.max(1) as f64;
-            if best.is_none_or(|(_, _, r)| ratio > r) {
-                best = Some((i, marginal, ratio));
-            }
-        }
-        let Some((i, marginal, ratio)) = best else {
-            // Single additions have stalled. Disjunctive predicates only
-            // pay off when every branch of an OR group is covered at once
-            // (index interaction the one-at-a-time loop cannot see), so
-            // try adding one whole group as a unit.
-            if let Some(added) = try_or_group_add(ev, &chosen, covered, budget, knobs) {
-                for &i in &added {
-                    covered |= ev.coverage[i];
-                    trace.push(format!(
-                        "add {} (OR-group member)",
-                        ev.dag.nodes[i].candidate.pattern
-                    ));
-                }
-                chosen.extend(added);
-                continue;
-            }
-            break;
-        };
-        covered |= ev.coverage[i];
-        trace.push(format!(
-            "add {} (marginal benefit {:.1}, ratio {:.6})",
-            ev.dag.nodes[i].candidate.pattern, marginal, ratio
-        ));
-        chosen.push(i);
-    }
-
-    // Eviction pass: reclaim space held by indexes whose removal does not
-    // hurt (their patterns are covered by other chosen indexes).
-    let mut changed = knobs.eviction;
-    while changed {
-        changed = false;
-        let current = ev.cost(&chosen);
-        for pos in 0..chosen.len() {
-            let mut without = chosen.clone();
-            let node = without.remove(pos);
-            if ev.cost(&without) <= current + 1e-9 {
-                trace.push(format!(
-                    "evict redundant {} (no benefit loss, reclaim {} KiB)",
-                    ev.dag.nodes[node].candidate.pattern,
-                    ev.dag.nodes[node].candidate.size_bytes / 1024
-                ));
-                chosen = without;
-                changed = true;
-                break;
-            }
-        }
-    }
-
-    // Guarantee: drop any index no query's best plan uses.
-    if knobs.drop_unused {
-        let (_, used_per_query) = ev.detail(&chosen);
-        let used_set: std::collections::HashSet<usize> =
-            used_per_query.iter().flatten().copied().collect();
-        chosen.retain(|i| {
-            let keep = used_set.contains(i);
-            if !keep {
-                trace.push(format!(
-                    "drop unused {} (not used by any plan)",
-                    ev.dag.nodes[*i].candidate.pattern
-                ));
-            }
-            keep
-        });
-    }
-
-    outcome(ev, chosen, trace)
-}
-
-/// Find one OR group whose branches can all be covered by adding new
-/// candidates within budget with positive combined marginal benefit.
-/// Returns the candidate set to add, or `None`. Shared with the anytime
-/// driver, whose greedy phase must mirror [`greedy_heuristic`] exactly.
-pub(crate) fn try_or_group_add(
-    ev: &mut WhatIfEngine<'_>,
-    chosen: &[usize],
-    covered: u128,
-    budget: u64,
-    knobs: GreedyKnobs,
-) -> Option<Vec<usize>> {
-    let groups = ev.or_groups();
-    let used: u64 = ev.size(chosen);
-    let current = ev.cost(chosen);
-    for branches in groups {
-        // Nothing to do if the group is already fully covered.
-        if knobs.coverage_bitmap && branches.iter().all(|b| b & covered != 0) {
-            continue;
-        }
-        // Per branch, the cheapest candidate covering any of its atoms.
-        let mut add: Vec<usize> = Vec::new();
-        let mut ok = true;
-        for branch_mask in &branches {
-            if branch_mask & covered != 0 {
-                continue; // branch already covered by a chosen index
-            }
-            let best = (0..ev.dag.nodes.len())
-                .filter(|i| !chosen.contains(i) && !add.contains(i))
-                .filter(|&i| ev.coverage[i] & branch_mask != 0)
-                .min_by_key(|&i| ev.dag.nodes[i].candidate.size_bytes);
-            match best {
-                Some(i) => add.push(i),
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok || add.is_empty() {
-            continue;
-        }
-        let add_size: u64 = add
-            .iter()
-            .map(|&i| ev.dag.nodes[i].candidate.size_bytes)
-            .sum();
-        if used + add_size > budget {
-            continue;
-        }
-        let mut with = chosen.to_vec();
-        with.extend(&add);
-        if current - ev.cost(&with) > 0.0 {
-            return Some(add);
-        }
-    }
-    None
 }
 
 // ---------------------------------------------------------------------------
@@ -446,9 +313,7 @@ fn top_down(ev: &mut WhatIfEngine<'_>, budget: u64) -> SearchOutcome {
                 // Prefer dropping big, low-loss indexes.
                 let score_a = loss_a / ev.dag.nodes[chosen[a]].candidate.size_bytes.max(1) as f64;
                 let score_b = loss_b / ev.dag.nodes[chosen[b]].candidate.size_bytes.max(1) as f64;
-                score_a
-                    .partial_cmp(&score_b)
-                    .unwrap_or(std::cmp::Ordering::Equal)
+                score_a.total_cmp(&score_b).then(a.cmp(&b))
             });
             match victim_pos {
                 Some(pos) => {
@@ -509,6 +374,22 @@ mod tests {
     ];
 
     #[test]
+    fn strategy_names_round_trip_through_from_str() {
+        for strat in [
+            SearchStrategy::GreedyBaseline,
+            SearchStrategy::GreedyHeuristic,
+            SearchStrategy::TopDown,
+        ] {
+            assert_eq!(strat.to_string().parse(), Ok(strat));
+        }
+        assert_eq!("topdown".parse(), Ok(SearchStrategy::TopDown));
+        assert_eq!(
+            "simulated-annealing".parse::<SearchStrategy>(),
+            Err("unknown strategy 'simulated-annealing'".to_string())
+        );
+    }
+
+    #[test]
     fn all_strategies_respect_budget_and_benefit() {
         let (c, w, dag) = setup(400, QUERIES);
         let model = CostModel::default();
@@ -528,6 +409,44 @@ mod tests {
             );
             assert!(out.benefit() > 0.0, "{strat}: expected positive benefit");
             assert!(!out.trace.is_empty());
+        }
+    }
+
+    /// A broken statistics path (one cost-model knob NaN, as the oracle's
+    /// estimate-sanity mode poisons it) makes every ranking key NaN or a
+    /// finite/NaN mix. No comparator may panic or depend on anything but
+    /// its inputs.
+    #[test]
+    fn nan_poisoned_cost_model_is_survived_deterministically() {
+        let (c, w, dag) = setup(200, QUERIES);
+        let poisons: [fn(&mut CostModel); 4] = [
+            |m| m.cpu_entry = f64::NAN,
+            |m| m.random_io = f64::NAN,
+            |m| m.fetch = f64::NAN,
+            |m| m.cpu_recheck = f64::NAN,
+        ];
+        for poison in poisons {
+            let mut model = CostModel::default();
+            poison(&mut model);
+            for strat in [
+                SearchStrategy::GreedyBaseline,
+                SearchStrategy::GreedyHeuristic,
+                SearchStrategy::GreedyAblated(GreedyKnobs {
+                    coverage_bitmap: false,
+                    eviction: true,
+                    drop_unused: false,
+                }),
+                SearchStrategy::TopDown,
+            ] {
+                // 2 KiB is below the leaf configuration, so top-down
+                // ranks victims instead of only expanding roots.
+                for budget in [1 << 20, 2 << 10] {
+                    let first = search(&c, &model, &w, &dag, budget, strat);
+                    let second = search(&c, &model, &w, &dag, budget, strat);
+                    assert_eq!(first.chosen, second.chosen, "{strat} at {budget}");
+                    assert!(first.size_bytes <= budget, "{strat}: over budget");
+                }
+            }
         }
     }
 

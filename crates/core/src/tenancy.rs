@@ -28,6 +28,10 @@
 //! tenant name, then item index — the same discipline the optimizer
 //! uses so allocation is reproducible across runs and platforms.
 
+use crate::anytime::FrontierPoint;
+use crate::generalize::Dag;
+use xia_index::{IndexDefinition, IndexId};
+
 /// Pages are the allocator's currency (DB2-flavored 4 KiB).
 pub const PAGE_BYTES: u64 = 4096;
 
@@ -64,6 +68,28 @@ impl FrontierItem {
     pub fn ratio(&self) -> f64 {
         self.benefit / self.pages.max(1) as f64
     }
+}
+
+/// Translate a greedy run's accepted steps into allocator currency:
+/// DDL (reproducible on any daemon), marginal benefit, index size in
+/// pages. `dag` is the DAG the run searched.
+pub fn frontier_items(collection: &str, dag: &Dag, points: &[FrontierPoint]) -> Vec<FrontierItem> {
+    points
+        .iter()
+        .map(|p| FrontierItem {
+            collection: collection.to_string(),
+            ddl: p
+                .nodes
+                .iter()
+                .map(|&i| {
+                    let c = &dag.nodes[i].candidate;
+                    IndexDefinition::new(IndexId(0), c.pattern.clone(), c.data_type).ddl(collection)
+                })
+                .collect(),
+            benefit: p.marginal,
+            pages: pages_for(p.size_bytes),
+        })
+        .collect()
 }
 
 /// A tenant's merged frontier plus its budget-shaping knobs.

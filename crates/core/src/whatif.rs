@@ -215,21 +215,7 @@ impl<'a> WhatIfEngine<'a> {
             queries.push(q.clone());
             freqs.push(f);
         }
-        let updates = workload.updates().collect();
-        Self::new(collection, model, dag, queries, freqs, updates, config)
-    }
-
-    /// Build an engine from already-separated queries/frequencies (the
-    /// database-level advisor prepares these itself and has no updates).
-    pub fn new(
-        collection: &'a Collection,
-        model: &'a CostModel,
-        dag: &'a Dag,
-        queries: Vec<NormalizedQuery>,
-        freqs: Vec<f64>,
-        updates: Vec<(&'a Document, f64)>,
-        config: EngineConfig,
-    ) -> WhatIfEngine<'a> {
+        let updates: Vec<(&'a Document, f64)> = workload.updates().collect();
         let mut atoms = Vec::new();
         let mut atom_or = Vec::new();
         for (qi, q) in queries.iter().enumerate() {

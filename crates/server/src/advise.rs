@@ -40,10 +40,10 @@ use crate::tenant::TenantState;
 use std::collections::HashMap;
 use std::time::Instant;
 use xia_advisor::{
-    pages_for, review_existing_indexes, AnytimeBudget, AnytimeTelemetry, CompressedRecommendation,
-    EvalStats, FrontierItem, IndexVerdict, SearchStrategy, Workload,
+    frontier_items, review_existing_indexes, AnytimeBudget, AnytimeTelemetry,
+    CompressedRecommendation, EvalStats, FrontierItem, IndexVerdict, SearchStrategy, Workload,
 };
-use xia_index::{DataType, IndexDefinition, IndexId};
+use xia_index::{DataType, IndexDefinition};
 use xia_workload::MonitorSnapshot;
 use xia_xquery::NormalizedQuery;
 
@@ -447,28 +447,6 @@ fn advise_collection(
         }
     }
 
-    // Translate the anytime search's accepted steps into allocator
-    // currency: DDL (reproducible on any daemon), marginal benefit,
-    // index size in pages.
-    let frontier: Vec<FrontierItem> = rec
-        .telemetry
-        .frontier
-        .iter()
-        .map(|p| FrontierItem {
-            collection: name.to_string(),
-            ddl: p
-                .nodes
-                .iter()
-                .map(|&i| {
-                    let c = &rec.dag.nodes[i].candidate;
-                    IndexDefinition::new(IndexId(0), c.pattern.clone(), c.data_type).ddl(name)
-                })
-                .collect(),
-            benefit: p.marginal,
-            pages: pages_for(p.size_bytes),
-        })
-        .collect();
-
     let cycle = CollectionCycle {
         collection: name.to_string(),
         statements: sub.len(),
@@ -484,7 +462,7 @@ fn advise_collection(
         duration_secs: start.elapsed().as_secs_f64(),
         anytime: rec.telemetry.clone(),
         eval_stats: rec.outcome.stats.clone(),
-        frontier,
+        frontier: frontier_items(name, &rec.dag, &rec.telemetry.frontier),
     };
 
     // Remember this cycle for the incremental fast path and the next

@@ -1355,15 +1355,6 @@ fn handle_insert(
     }
 }
 
-fn parse_strategy(s: &str) -> Result<SearchStrategy, String> {
-    match s {
-        "" | "greedy" => Ok(SearchStrategy::GreedyHeuristic),
-        "topdown" | "top-down" => Ok(SearchStrategy::TopDown),
-        "baseline" => Ok(SearchStrategy::GreedyBaseline),
-        other => Err(format!("unknown strategy '{other}'")),
-    }
-}
-
 fn handle_recommend(
     state: &Arc<ServerState>,
     tenant: &Arc<TenantState>,
@@ -1375,7 +1366,7 @@ fn handle_recommend(
         Some(_) => return Err("budget_kib must be positive".to_string()),
         None => state.budget_bytes,
     };
-    let strategy = parse_strategy(req.get_str("strategy").unwrap_or(""))?;
+    let strategy: SearchStrategy = req.get_str("strategy").unwrap_or("").parse()?;
     let snapshot = tenant.lock_monitor().snapshot().for_collection(&coll_name);
     if snapshot.is_empty() {
         return Err(format!(

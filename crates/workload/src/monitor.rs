@@ -338,10 +338,10 @@ impl WorkloadMonitor {
             .entries
             .iter()
             .enumerate()
-            .min_by(|(_, a), (_, b)| {
+            .min_by(|(ia, a), (ib, b)| {
                 let wa = a.weight_at(now, self.cfg.half_life_secs);
                 let wb = b.weight_at(now, self.cfg.half_life_secs);
-                wa.partial_cmp(&wb).unwrap_or(std::cmp::Ordering::Equal)
+                wa.total_cmp(&wb).then(ia.cmp(ib))
             })
             .map(|(i, _)| i)
         else {

@@ -36,6 +36,10 @@ run_hard cargo build --release --offline
 # workspace member list regresses.
 run_hard cargo build --release --offline -p xia-server
 run_hard cargo test -q --offline
+# The search golden by name: every strategy's exact outcome (chosen set,
+# costs, per-query costs, used indexes) on the pinned workloads, as it
+# was when the offline greedy was still a second implementation.
+run_hard cargo test -q --offline -p xia --test strategy_snapshot
 # The crash matrix by name: the durability invariant (recovery after any
 # injected fault yields old or new state, never corruption) must never
 # silently drop out of the suite.
@@ -151,6 +155,28 @@ check_tenant_owned_stores() {
   fi
 }
 check_tenant_owned_stores
+
+# The paper's greedy search exists once: its add step (marginal benefit
+# per byte) lives in anytime.rs and ranking across collections or
+# tenants in tenancy.rs. A second copy in search.rs or multi.rs would
+# have to be kept bitwise-equal by hand again.
+check_one_greedy() {
+  echo "==> grep: one greedy loop (anytime.rs), one allocator (tenancy.rs)"
+  local bad=0
+  if grep -rnE 'fn greedy_heuristic\(' crates/core/src; then
+    echo "FAILED: greedy_heuristic is back (see matches above)" >&2
+    bad=1
+  fi
+  if grep -nE 'marginal[a-z_]* */|ratio *> *r\b' \
+      crates/core/src/multi.rs crates/core/src/search.rs; then
+    echo "FAILED: multi.rs/search.rs rank by marginal benefit per size again (see matches above)" >&2
+    bad=1
+  fi
+  if [ "$bad" -ne 0 ]; then
+    failures=$((failures + 1))
+  fi
+}
+check_one_greedy
 
 run_if_installed fmt cargo fmt --check
 run_if_installed clippy cargo clippy --offline --all-targets -- -D warnings

@@ -1,8 +1,12 @@
-//! Prints the exact `SearchOutcome` (chosen set, costs, per-query costs,
-//! used indexes) for every search strategy on the integration-test and
-//! bench workloads. Used to confirm the what-if engine rewrite is
-//! behavior-preserving; kept as an example so future evaluator changes
-//! can re-run the same comparison.
+//! Golden pin: the exact `SearchOutcome` (chosen set, costs, per-query
+//! costs, used indexes) of every search strategy — the ablated greedy
+//! knobs included — on the integration-test and bench workloads must
+//! match `tests/golden/strategy_snapshot.txt` line for line. The file
+//! was generated at the commit before the offline greedy became the
+//! anytime driver, so it holds search and what-if engine changes to
+//! the behaviour of the separate implementation they replaced. A
+//! change that means to alter a search result edits the golden file in
+//! the same commit (a failing line prints what the search now returns).
 
 use xia::prelude::*;
 
@@ -16,7 +20,7 @@ fn xmark(docs: usize) -> Collection {
     c
 }
 
-fn print_outcomes(tag: &str, c: &Collection, w: &Workload, budget: u64) {
+fn outcomes(lines: &mut Vec<String>, tag: &str, c: &Collection, w: &Workload, budget: u64) {
     let advisor = Advisor::default();
     for strat in [
         SearchStrategy::GreedyBaseline,
@@ -30,7 +34,7 @@ fn print_outcomes(tag: &str, c: &Collection, w: &Workload, budget: u64) {
     ] {
         let rec = advisor.recommend(c, w, budget, strat);
         let o = &rec.outcome;
-        println!(
+        lines.push(format!(
             "{tag} {strat}: chosen={:?} base={:.6} cost={:.6} size={} per_query={:?} used={:?}",
             o.chosen,
             o.base_cost,
@@ -38,11 +42,13 @@ fn print_outcomes(tag: &str, c: &Collection, w: &Workload, budget: u64) {
             o.size_bytes,
             o.per_query_cost,
             o.used_per_query
-        );
+        ));
     }
 }
 
-fn main() {
+#[test]
+fn every_strategy_matches_the_golden_snapshot() {
+    let mut lines = Vec::new();
     let c = xmark(150);
     let w = Workload::from_queries(
         &[
@@ -55,8 +61,8 @@ fn main() {
         "auctions",
     )
     .unwrap();
-    print_outcomes("regional/1MiB", &c, &w, 1 << 20);
-    print_outcomes("regional/32KiB", &c, &w, 32 << 10);
+    outcomes(&mut lines, "regional/1MiB", &c, &w, 1 << 20);
+    outcomes(&mut lines, "regional/32KiB", &c, &w, 32 << 10);
 
     // Update-heavy variant exercises maintenance costing.
     let mut wu = Workload::from_queries(
@@ -69,7 +75,7 @@ fn main() {
     .unwrap();
     let sample = c.get(xia::storage::DocId(0)).unwrap().clone();
     wu.add_insert(sample, 50.0);
-    print_outcomes("updates/1MiB", &c, &wu, 1 << 20);
+    outcomes(&mut lines, "updates/1MiB", &c, &wu, 1 << 20);
 
     // The bench harness's standard nine-query workload, OR groups included.
     let c2 = {
@@ -95,5 +101,13 @@ fn main() {
     ];
     let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
     let w2 = Workload::from_queries(&refs, "auctions").unwrap();
-    print_outcomes("standard/1MiB", &c2, &w2, 1 << 20);
+    outcomes(&mut lines, "standard/1MiB", &c2, &w2, 1 << 20);
+
+    let golden: Vec<&str> = include_str!("golden/strategy_snapshot.txt")
+        .lines()
+        .collect();
+    assert_eq!(lines.len(), golden.len(), "snapshot line count");
+    for (got, want) in lines.iter().zip(golden) {
+        assert_eq!(got, want);
+    }
 }
