@@ -9,7 +9,6 @@ use crate::workload::Workload;
 use xia_index::{DataType, IndexDefinition, IndexId};
 use xia_optimizer::CostModel;
 use xia_storage::Collection;
-use xia_xpath::LinearPath;
 
 /// Advisor configuration.
 #[derive(Debug, Clone, Default)]
@@ -51,11 +50,7 @@ impl Recommendation {
 
     /// Estimated improvement as a percentage of the no-index cost.
     pub fn improvement_pct(&self) -> f64 {
-        if self.outcome.base_cost <= 0.0 {
-            0.0
-        } else {
-            100.0 * self.benefit() / self.outcome.base_cost
-        }
+        self.outcome.improvement_pct()
     }
 
     /// DDL statements for the recommended indexes.
@@ -113,11 +108,7 @@ impl CompressedRecommendation {
     }
 
     pub fn improvement_pct(&self) -> f64 {
-        if self.outcome.base_cost <= 0.0 {
-            0.0
-        } else {
-            100.0 * self.benefit() / self.outcome.base_cost
-        }
+        self.outcome.improvement_pct()
     }
 
     pub fn ddl(&self, collection: &str) -> Vec<String> {
@@ -254,17 +245,6 @@ impl Advisor {
             .map(|def| collection.create_index(def.clone()))
             .sum()
     }
-}
-
-/// Helper: the most general useful pattern — kept for demo scenarios that
-/// want to show the `//*` virtual index explicitly.
-pub fn any_pattern() -> LinearPath {
-    LinearPath::any()
-}
-
-/// Helper used by demos to pick a data type for ad-hoc patterns.
-pub fn default_type() -> DataType {
-    DataType::Varchar
 }
 
 #[cfg(test)]

@@ -126,6 +126,15 @@ impl SearchOutcome {
     pub fn benefit(&self) -> f64 {
         self.base_cost - self.workload_cost
     }
+
+    /// Estimated improvement as a percentage of the no-index cost.
+    pub fn improvement_pct(&self) -> f64 {
+        if self.base_cost <= 0.0 {
+            0.0
+        } else {
+            100.0 * self.benefit() / self.base_cost
+        }
+    }
 }
 
 /// Run the chosen strategy with the default what-if engine settings.

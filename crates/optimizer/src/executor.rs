@@ -6,19 +6,26 @@
 //! the full query is then verified on the candidates — document-grained
 //! index ANDing. A `DocScan` plan evaluates every document.
 //!
+//! All of that is one function, `walk`: `execute`, `execute_mode`,
+//! `execute_navigational` and PROFILE (`crate::profile`, which passes a
+//! trace sink) are thin callers, so what PROFILE reports is the path
+//! QUERY takes.
+//!
 //! Per-document verification runs through the batched engine
-//! ([`crate::exec`]): region-label columns, stack-based structural
-//! joins, vectorized predicate filters, late materialization. The
-//! navigational row-at-a-time path ([`ExecMode::Navigational`]) is kept
-//! as the reference implementation — the oracle's `exec-parity`
+//! ([`crate::exec`]: region-label columns, stack-based structural
+//! joins, vectorized predicate filters, late materialization) or the
+//! navigational row-at-a-time evaluator ([`ExecMode::Navigational`]) —
+//! [`choose_mode`] picks per query from path statistics. The walker is
+//! also the reference implementation: the oracle's `exec-parity`
 //! invariant and `prop_exec_batch` check the two are bit-identical, and
 //! `exp_exec_batch` measures the gap. Results are always identical to
 //! pure navigational evaluation; indexes and batching only change how
 //! much work it takes, which [`ExecStats`] records.
 
-use crate::exec::{run_batch, BatchPlan};
+use crate::exec::{run_batch, BatchPlan, BatchProfile};
 use crate::plan::{AccessPath, IndexLeg, Plan};
 use std::ops::Bound;
+use std::time::{Duration, Instant};
 use xia_index::{IndexKey, PhysicalIndex};
 use xia_storage::{Collection, DocId};
 use xia_xml::NodeId;
@@ -82,12 +89,8 @@ pub fn execute(
     query: &NormalizedQuery,
     plan: &Plan,
 ) -> Result<(Vec<(DocId, NodeId)>, ExecStats), ExecError> {
-    execute_mode(
-        collection,
-        query,
-        plan,
-        choose_mode(collection, query, plan),
-    )
+    let mode = choose_mode(collection, query, plan);
+    walk(collection, query, plan, mode, None)
 }
 
 /// Pick the per-document verification mode for a plan.
@@ -174,7 +177,7 @@ pub fn execute_navigational(
     query: &NormalizedQuery,
     plan: &Plan,
 ) -> Result<(Vec<(DocId, NodeId)>, ExecStats), ExecError> {
-    execute_mode(collection, query, plan, ExecMode::Navigational)
+    walk(collection, query, plan, ExecMode::Navigational, None)
 }
 
 /// Execute `plan` with an explicit verification mode. Both modes return
@@ -185,19 +188,100 @@ pub fn execute_mode(
     plan: &Plan,
     mode: ExecMode,
 ) -> Result<(Vec<(DocId, NodeId)>, ExecStats), ExecError> {
-    let mut stats = ExecStats::default();
+    walk(collection, query, plan, mode, None)
+}
 
-    // Index-only access: results come straight out of the postings.
-    if let AccessPath::IndexOnly { leg } = &plan.access {
-        let out = index_only_rows(collection, query, leg, &mut stats)?;
-        return Ok((out, stats));
+/// What a profiled [`walk`] records beyond rows and counters: actual
+/// cardinalities and wall time per stage, which PROFILE hangs on the
+/// operator tree.
+#[derive(Debug, Default)]
+pub(crate) struct WalkTrace {
+    /// Per index leg, in plan order: distinct candidate documents the
+    /// probe produced and the time it took.
+    pub legs: Vec<(usize, Duration)>,
+    /// Candidate documents the access path selected (rows, for an
+    /// index-only plan).
+    pub candidates: usize,
+    /// The whole access stage: leg probes plus the AND/OR combine, the
+    /// scan's document listing, or the index-only posting scan.
+    pub access_wall: Duration,
+    /// The fetch + verify stage.
+    pub verify_wall: Duration,
+    /// The compiled batch pipeline and its per-operator counters;
+    /// `None` when the walk ran navigationally or index-only.
+    pub batch: Option<(BatchPlan, BatchProfile)>,
+}
+
+/// The one plan walk: gather the candidate documents the access path
+/// selects, then fetch each and verify the full query on it in `mode`.
+///
+/// `trace` is the optional profile sink, the way [`run_batch`] takes an
+/// `Option<&mut BatchProfile>`: with `None` (every QUERY) no clock is
+/// read and nothing is allocated for it.
+pub(crate) fn walk(
+    collection: &Collection,
+    query: &NormalizedQuery,
+    plan: &Plan,
+    mode: ExecMode,
+    mut trace: Option<&mut WalkTrace>,
+) -> Result<(Vec<(DocId, NodeId)>, ExecStats), ExecError> {
+    let mut stats = ExecStats::default();
+    let clock = trace.is_some().then(Instant::now);
+    let since = |start: Option<Instant>| start.map(|s| s.elapsed()).unwrap_or_default();
+
+    let candidates: Vec<DocId> = match &plan.access {
+        // Index-only access: results come straight out of the postings.
+        AccessPath::IndexOnly { leg } => {
+            let out = index_only_rows(collection, query, leg, &mut stats)?;
+            if let Some(t) = trace {
+                t.candidates = out.len();
+                t.access_wall = since(clock);
+            }
+            return Ok((out, stats));
+        }
+        AccessPath::DocScan => {
+            stats.pages_read += collection.stats().data_pages() as usize;
+            collection.documents().map(|(id, _)| id).collect()
+        }
+        AccessPath::IndexOr { legs } => {
+            // Union of per-branch candidate documents.
+            let mut docs: Vec<DocId> = Vec::new();
+            for leg in legs {
+                docs.extend(probe_leg(collection, query, leg, &mut stats, &mut trace)?);
+            }
+            docs.sort_unstable();
+            docs.dedup();
+            docs
+        }
+        AccessPath::IndexAccess { legs } => {
+            let mut sets: Vec<Vec<DocId>> = Vec::with_capacity(legs.len());
+            for leg in legs {
+                sets.push(probe_leg(collection, query, leg, &mut stats, &mut trace)?);
+            }
+            // Intersect (document-grained index ANDing).
+            match sets.split_first() {
+                None => collection.documents().map(|(id, _)| id).collect(),
+                Some((first, rest)) => first
+                    .iter()
+                    .copied()
+                    .filter(|d| rest.iter().all(|s| s.binary_search(d).is_ok()))
+                    .collect(),
+            }
+        }
+    };
+    if let Some(t) = trace.as_deref_mut() {
+        t.candidates = candidates.len();
+        t.access_wall = since(clock);
     }
 
-    let candidates = gather_candidates(collection, query, plan, &mut stats)?;
-
+    let clock = clock.map(|_| Instant::now());
     let batch = match mode {
         ExecMode::Batched => Some(BatchPlan::compile(query)),
         ExecMode::Navigational => None,
+    };
+    let mut batch_profile = match (&batch, &trace) {
+        (Some(bp), Some(_)) => Some(bp.profile()),
+        _ => None,
     };
     let mut out: Vec<(DocId, NodeId)> = Vec::new();
     let fetch_counts = !matches!(plan.access, AccessPath::DocScan);
@@ -212,7 +296,7 @@ pub fn execute_mode(
             stats.pages_read += doc.byte_size().div_ceil(xia_storage::PAGE_SIZE).max(1);
         }
         let nodes = match &batch {
-            Some(bp) => run_batch(bp, doc, None),
+            Some(bp) => run_batch(bp, doc, batch_profile.as_mut()),
             None => query.run_on_document(doc),
         };
         for node in nodes {
@@ -220,56 +304,30 @@ pub fn execute_mode(
         }
     }
     stats.results = out.len();
+    if let Some(t) = trace {
+        t.verify_wall = since(clock);
+        t.batch = batch.zip(batch_profile);
+    }
     Ok((out, stats))
 }
 
-/// Gather the candidate documents an access path selects (everything
-/// except `IndexOnly`, which skips the fetch stage entirely).
-pub(crate) fn gather_candidates(
+/// Probe one index leg for [`walk`]: its distinct candidate documents,
+/// in document order.
+fn probe_leg(
     collection: &Collection,
     query: &NormalizedQuery,
-    plan: &Plan,
+    leg: &IndexLeg,
     stats: &mut ExecStats,
+    trace: &mut Option<&mut WalkTrace>,
 ) -> Result<Vec<DocId>, ExecError> {
-    Ok(match &plan.access {
-        AccessPath::DocScan => {
-            stats.pages_read += collection.stats().data_pages() as usize;
-            collection.documents().map(|(id, _)| id).collect()
-        }
-        AccessPath::IndexOnly { .. } => {
-            return Err(ExecError(
-                "index-only plans have no candidate fetch stage".into(),
-            ))
-        }
-        AccessPath::IndexOr { legs } => {
-            // Union of per-branch candidate documents.
-            let mut docs: Vec<DocId> = Vec::new();
-            for leg in legs {
-                docs.extend(leg_candidate_docs(collection, query, leg, stats)?);
-            }
-            docs.sort_unstable();
-            docs.dedup();
-            docs
-        }
-        AccessPath::IndexAccess { legs } => {
-            let mut sets: Vec<Vec<DocId>> = Vec::with_capacity(legs.len());
-            for leg in legs {
-                let mut docs = leg_candidate_docs(collection, query, leg, stats)?;
-                docs.sort_unstable();
-                docs.dedup();
-                sets.push(docs);
-            }
-            // Intersect (document-grained index ANDing).
-            match sets.split_first() {
-                None => collection.documents().map(|(id, _)| id).collect(),
-                Some((first, rest)) => first
-                    .iter()
-                    .copied()
-                    .filter(|d| rest.iter().all(|s| s.binary_search(d).is_ok()))
-                    .collect(),
-            }
-        }
-    })
+    let clock = trace.is_some().then(Instant::now);
+    let mut docs = leg_candidate_docs(collection, query, leg, stats)?;
+    docs.sort_unstable();
+    docs.dedup();
+    if let (Some(t), Some(start)) = (trace, clock) {
+        t.legs.push((docs.len(), start.elapsed()));
+    }
+    Ok(docs)
 }
 
 /// Answer an `IndexOnly` plan straight from the postings.
@@ -281,7 +339,7 @@ pub(crate) fn gather_candidates(
 /// there is no key to probe with. A sargable leg reaching this path
 /// would mean the planner broke that contract — fail loudly instead of
 /// silently scanning.
-pub(crate) fn index_only_rows(
+fn index_only_rows(
     collection: &Collection,
     query: &NormalizedQuery,
     leg: &IndexLeg,
@@ -323,10 +381,10 @@ pub(crate) fn index_only_rows(
 
 /// Probe one index leg and return the candidate documents it yields,
 /// updating the probe/entry/page counters.
-pub(crate) fn leg_candidate_docs(
+fn leg_candidate_docs(
     collection: &Collection,
     query: &NormalizedQuery,
-    leg: &crate::plan::IndexLeg,
+    leg: &IndexLeg,
     stats: &mut ExecStats,
 ) -> Result<Vec<DocId>, ExecError> {
     let ix = collection
@@ -374,11 +432,7 @@ fn probe_pages(ix: &PhysicalIndex, structural: bool, entries_touched: usize) -> 
 }
 
 /// Does `node`'s root-to-node label path match the query path?
-pub(crate) fn node_matches_path(
-    doc: &xia_xml::Document,
-    node: NodeId,
-    path: &xia_xpath::LinearPath,
-) -> bool {
+fn node_matches_path(doc: &xia_xml::Document, node: NodeId, path: &xia_xpath::LinearPath) -> bool {
     let labels: Vec<&str> = doc
         .label_path(node)
         .iter()
@@ -450,7 +504,7 @@ fn probe(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::cost::CostModel;
@@ -638,7 +692,7 @@ mod tests {
     /// walk while `item`/`price` labels also flood a decoy subtree —
     /// the shape where the batch engine's full-column seeds lose to the
     /// navigational walk.
-    fn homonym_heavy_collection(n_docs: usize, decoys: usize) -> Collection {
+    pub(crate) fn homonym_heavy_collection(n_docs: usize, decoys: usize) -> Collection {
         let mut c = Collection::new("auctions");
         for i in 0..n_docs {
             let mut b = DocumentBuilder::new();

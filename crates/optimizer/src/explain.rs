@@ -20,22 +20,11 @@ use xia_storage::Collection;
 use xia_xpath::LinearPath;
 use xia_xquery::NormalizedQuery;
 
-/// The optimizer modes the paper adds to DB2 (plus the normal one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExplainMode {
-    Normal,
-    EnumerateIndexes,
-    EvaluateIndexes,
-}
-
 /// Ordinary explain result.
 #[derive(Debug, Clone)]
 pub struct Explain {
     pub plan: Plan,
     pub text: String,
-    /// Which EXPLAIN mode produced this (always `Normal` from [`explain`];
-    /// the other two modes return their own result types).
-    pub mode: ExplainMode,
 }
 
 /// Explain a query against the collection's real indexes.
@@ -43,11 +32,7 @@ pub fn explain(collection: &Collection, model: &CostModel, query: &NormalizedQue
     let catalog = Catalog::real_only(collection);
     let plan = optimize(&catalog, model, query);
     let text = plan.render(&query.text);
-    Explain {
-        plan,
-        text,
-        mode: ExplainMode::Normal,
-    }
+    Explain { plan, text }
 }
 
 /// A basic candidate produced by the Enumerate Indexes mode: an index on

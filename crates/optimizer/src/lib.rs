@@ -4,13 +4,14 @@
 //! our stand-in for the DB2 optimizer extended with the paper's two new
 //! EXPLAIN modes:
 //!
-//! * [`ExplainMode::EnumerateIndexes`] — plant virtual `//*` (and
-//!   `//*/@*`) indexes, run index matching, and report every query
+//! * *Enumerate Indexes* ([`enumerate_indexes`]) — plant virtual `//*`
+//!   (and `//*/@*`) indexes, run index matching, and report every query
 //!   pattern that matched: "if all possible indexes were available, which
 //!   query patterns would benefit from them?"
-//! * [`ExplainMode::EvaluateIndexes`] — plant a candidate configuration
-//!   as virtual indexes (sized from statistics, never built) and return
-//!   the estimated cost of each query under that configuration.
+//! * *Evaluate Indexes* ([`evaluate_indexes`]) — plant a candidate
+//!   configuration as virtual indexes (sized from statistics, never
+//!   built) and return the estimated cost of each query under that
+//!   configuration.
 //!
 //! Plans choose between a document scan and index access (single leg or
 //! index-ANDing over multiple legs) using the statistics kept by
@@ -33,7 +34,7 @@ pub use exec::{run_batch, BatchOp, BatchPlan, BatchProfile, OpStats};
 pub use executor::{choose_mode, execute, execute_mode, execute_navigational, ExecMode, ExecStats};
 pub use explain::{
     enumerate_indexes, evaluate_indexes, evaluate_query, explain, CandidateIndex,
-    ConfigurationCost, Explain, ExplainMode, QueryEvaluation,
+    ConfigurationCost, Explain, QueryEvaluation,
 };
 pub use optimize::{atom_predicate, optimize};
 pub use plan::{AccessPath, IndexLeg, Plan};

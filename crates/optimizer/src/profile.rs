@@ -8,15 +8,19 @@
 //! leaving the console. Results are identical to [`crate::execute`];
 //! only the bookkeeping differs.
 //!
-//! Verification runs through the batched engine, and the profile
-//! attributes rows and wall time to every batch operator (seed,
-//! structural joins, predicate filters, materialize) summed across the
-//! evaluated documents — the [`Profile::operators`] breakdown, rendered
-//! as `BATCH` children of the root operator and surfaced over the wire
-//! by the PROFILE command.
+//! The run is [`crate::executor`]'s one plan walk with a trace sink
+//! attached, in the mode `choose_mode` picks — PROFILE profiles the path
+//! QUERY takes; this module only hangs the trace on the operator tree
+//! and renders it. When verification runs through the batched engine
+//! the profile attributes rows and wall time to every batch operator
+//! (seed, structural joins, predicate filters, materialize) summed
+//! across the evaluated documents — the [`Profile::operators`]
+//! breakdown, rendered as `BATCH` children of the root operator and
+//! surfaced over the wire by the PROFILE command. A navigational walk
+//! has no operators to attribute to: the root names the walker and the
+//! breakdown is empty.
 
-use crate::exec::{run_batch, BatchPlan};
-use crate::executor::{index_only_rows, leg_candidate_docs, ExecError, ExecStats};
+use crate::executor::{choose_mode, walk, ExecError, ExecMode, ExecStats, WalkTrace};
 use crate::plan::{AccessPath, IndexLeg, Plan};
 use std::time::{Duration, Instant};
 use xia_storage::{Collection, DocId};
@@ -73,8 +77,8 @@ pub struct Profile {
     pub results: Vec<(DocId, NodeId)>,
     pub stats: ExecStats,
     /// Per-batch-operator breakdown of the verification stage. Empty for
-    /// index-only plans (they answer from postings and never run the
-    /// batch pipeline).
+    /// index-only plans (they answer from postings) and navigational
+    /// walks — neither runs the batch pipeline.
     pub operators: Vec<OperatorStat>,
     /// End-to-end wall time (equals the root's subtree time).
     pub total: Duration,
@@ -141,178 +145,117 @@ fn leg_label(leg: &IndexLeg) -> String {
     )
 }
 
-/// Probe one leg under a stopwatch; returns its candidates and profile
-/// node (actual rows = candidate documents the leg produced).
-fn profile_leg(
-    collection: &Collection,
-    query: &NormalizedQuery,
-    leg: &IndexLeg,
-    stats: &mut ExecStats,
-) -> Result<(Vec<DocId>, ProfileNode), ExecError> {
-    let start = Instant::now();
-    let mut docs = leg_candidate_docs(collection, query, leg, stats)?;
-    docs.sort_unstable();
-    docs.dedup();
-    let node = ProfileNode::leaf(leg_label(leg), leg.est_results, docs.len(), start.elapsed());
-    Ok((docs, node))
-}
-
-/// Execute `plan` for `query` over `collection`, recording per-operator
+/// Execute `plan` for `query` over `collection` the way [`execute`]
+/// does — same walk, same [`choose_mode`] pick — recording per-operator
 /// estimated vs. actual cardinalities and wall time.
+///
+/// [`execute`]: crate::execute
 pub fn profile_execute(
     collection: &Collection,
     query: &NormalizedQuery,
     plan: &Plan,
 ) -> Result<Profile, ExecError> {
     let overall = Instant::now();
-    let mut stats = ExecStats::default();
+    let mode = choose_mode(collection, query, plan);
+    let mut trace = WalkTrace::default();
+    let (results, stats) = walk(collection, query, plan, mode, Some(&mut trace))?;
+    let total = overall.elapsed();
 
-    // Index-only plans answer straight from the postings; profile them
-    // as a single operator (no batch pipeline runs).
-    if let AccessPath::IndexOnly { leg } = &plan.access {
-        let start = Instant::now();
-        let out = index_only_rows(collection, query, leg, &mut stats)?;
-        let root = ProfileNode::leaf(
-            format!("XISCAN-ONLY {} pattern='{}'", leg.index, leg.pattern),
-            plan.est_results,
-            out.len(),
-            start.elapsed(),
-        );
-        return Ok(Profile {
-            root,
-            results: out,
-            stats,
-            operators: Vec::new(),
-            total: overall.elapsed(),
-        });
-    }
-
-    // All other access paths: gather candidate documents (profiling each
-    // index leg), then fetch + batch-verify.
-    let mut children: Vec<ProfileNode> = Vec::new();
-    let candidates: Vec<DocId> = match &plan.access {
-        AccessPath::IndexOnly { .. } => unreachable!("handled above"),
-        AccessPath::DocScan => {
-            let start = Instant::now();
-            stats.pages_read += collection.stats().data_pages() as usize;
-            let docs: Vec<DocId> = collection.documents().map(|(id, _)| id).collect();
-            children.push(ProfileNode::leaf(
-                "XSCAN (full collection scan)".into(),
-                collection.len() as f64,
-                docs.len(),
-                start.elapsed(),
-            ));
-            docs
-        }
-        AccessPath::IndexOr { legs } => {
-            let start = Instant::now();
-            let mut legs_wall = Duration::ZERO;
-            let mut docs: Vec<DocId> = Vec::new();
-            let mut leg_nodes = Vec::with_capacity(legs.len());
-            for leg in legs {
-                let (leg_docs, node) = profile_leg(collection, query, leg, &mut stats)?;
-                legs_wall += node.wall;
-                leg_nodes.push(node);
-                docs.extend(leg_docs);
-            }
-            docs.sort_unstable();
-            docs.dedup();
-            children.push(ProfileNode {
-                label: "IXOR (index ORing)".into(),
-                est_rows: plan.est_docs_fetched,
-                actual_rows: docs.len(),
-                wall: start.elapsed().saturating_sub(legs_wall),
-                children: leg_nodes,
+    let leg_nodes = |legs: &[IndexLeg]| -> Vec<ProfileNode> {
+        legs.iter()
+            .zip(&trace.legs)
+            .map(|(leg, &(docs, wall))| {
+                ProfileNode::leaf(leg_label(leg), leg.est_results, docs, wall)
+            })
+            .collect()
+    };
+    // An AND/OR node's own time is the access stage minus its legs.
+    let combine = |label: &str, legs: Vec<ProfileNode>| ProfileNode {
+        label: label.into(),
+        est_rows: plan.est_docs_fetched,
+        actual_rows: trace.candidates,
+        wall: trace
+            .access_wall
+            .saturating_sub(legs.iter().map(|l| l.wall).sum()),
+        children: legs,
+    };
+    let mut children: Vec<ProfileNode> = match &plan.access {
+        // Answered straight from the postings: a single operator.
+        AccessPath::IndexOnly { leg } => {
+            let root = ProfileNode::leaf(
+                format!("XISCAN-ONLY {} pattern='{}'", leg.index, leg.pattern),
+                plan.est_results,
+                results.len(),
+                trace.access_wall,
+            );
+            return Ok(Profile {
+                root,
+                results,
+                stats,
+                operators: Vec::new(),
+                total,
             });
-            docs
         }
-        AccessPath::IndexAccess { legs } => {
-            let start = Instant::now();
-            let mut legs_wall = Duration::ZERO;
-            let mut sets: Vec<Vec<DocId>> = Vec::with_capacity(legs.len());
-            let mut leg_nodes = Vec::with_capacity(legs.len());
-            for leg in legs {
-                let (leg_docs, node) = profile_leg(collection, query, leg, &mut stats)?;
-                legs_wall += node.wall;
-                leg_nodes.push(node);
-                sets.push(leg_docs);
-            }
-            let docs: Vec<DocId> = match sets.split_first() {
-                None => collection.documents().map(|(id, _)| id).collect(),
-                Some((first, rest)) => first
-                    .iter()
-                    .copied()
-                    .filter(|d| rest.iter().all(|s| s.binary_search(d).is_ok()))
-                    .collect(),
-            };
-            if legs.len() > 1 {
-                children.push(ProfileNode {
-                    label: "IXAND (index ANDing)".into(),
-                    est_rows: plan.est_docs_fetched,
-                    actual_rows: docs.len(),
-                    wall: start.elapsed().saturating_sub(legs_wall),
-                    children: leg_nodes,
-                });
-            } else {
-                children.extend(leg_nodes);
-            }
-            docs
+        AccessPath::DocScan => vec![ProfileNode::leaf(
+            "XSCAN (full collection scan)".into(),
+            collection.len() as f64,
+            trace.candidates,
+            trace.access_wall,
+        )],
+        AccessPath::IndexOr { legs } => {
+            let legs = leg_nodes(legs);
+            vec![combine("IXOR (index ORing)", legs)]
         }
+        AccessPath::IndexAccess { legs } if legs.len() > 1 => {
+            let legs = leg_nodes(legs);
+            vec![combine("IXAND (index ANDing)", legs)]
+        }
+        AccessPath::IndexAccess { legs } => leg_nodes(legs),
     };
 
-    let verify_start = Instant::now();
-    let batch = BatchPlan::compile(query);
-    let mut batch_prof = batch.profile();
-    let mut out: Vec<(DocId, NodeId)> = Vec::new();
-    let fetch_counts = !matches!(plan.access, AccessPath::DocScan);
-    for doc_id in candidates {
-        let Some(doc) = collection.get(doc_id) else {
-            continue;
-        };
-        stats.docs_evaluated += 1;
-        if fetch_counts {
-            stats.pages_read += doc.byte_size().div_ceil(xia_storage::PAGE_SIZE).max(1);
-        }
-        for node in run_batch(&batch, doc, Some(&mut batch_prof)) {
-            out.push((doc_id, node));
-        }
-    }
-    stats.results = out.len();
-
-    let operators: Vec<OperatorStat> = batch
-        .ops
-        .iter()
-        .zip(&batch_prof.ops)
-        .map(|(op, s)| OperatorStat {
-            kind: op.kind,
-            op: op.label(),
-            rows: s.rows,
-            wall: s.wall,
-        })
-        .collect();
+    // Per-batch-operator attribution; a navigational walk has none.
+    let operators: Vec<OperatorStat> = match &trace.batch {
+        None => Vec::new(),
+        Some((batch, counters)) => batch
+            .ops
+            .iter()
+            .zip(&counters.ops)
+            .map(|(op, s)| OperatorStat {
+                kind: op.kind,
+                op: op.label(),
+                rows: s.rows,
+                wall: s.wall,
+            })
+            .collect(),
+    };
     children.extend(
         operators.iter().map(|o| {
             ProfileNode::leaf(format!("BATCH {}", o.op), f64::NAN, o.rows as usize, o.wall)
         }),
     );
 
+    let scan = matches!(plan.access, AccessPath::DocScan);
+    let label = match (scan, mode) {
+        (true, ExecMode::Batched) => "BATCH-EVAL (batched evaluation)",
+        (true, ExecMode::Navigational) => "NAV-EVAL (navigational walk)",
+        (false, ExecMode::Batched) => "FETCH + verify (residual predicates)",
+        (false, ExecMode::Navigational) => {
+            "FETCH + verify (residual predicates, navigational walk)"
+        }
+    };
     let root = ProfileNode {
-        label: if matches!(plan.access, AccessPath::DocScan) {
-            "BATCH-EVAL (batched evaluation)".into()
-        } else {
-            "FETCH + verify (residual predicates)".into()
-        },
+        label: label.into(),
         est_rows: plan.est_results,
-        actual_rows: out.len(),
-        wall: verify_start.elapsed(),
+        actual_rows: results.len(),
+        wall: trace.verify_wall,
         children,
     };
     Ok(Profile {
         root,
-        results: out,
+        results,
         stats,
         operators,
-        total: overall.elapsed(),
+        total,
     })
 }
 
@@ -397,6 +340,24 @@ mod tests {
         let text = p.render();
         assert!(text.contains("BATCH seed"), "{text}");
         assert!(text.contains("est -"), "{text}");
+    }
+
+    /// PROFILE follows `choose_mode`: on the shape QUERY hands to the
+    /// navigational walker the profile runs the walker too.
+    #[test]
+    fn profile_follows_choose_mode_to_the_walker() {
+        let c = crate::executor::tests::homonym_heavy_collection(8, 100);
+        let q = compile("/site/item/price", "auctions").unwrap();
+        let ex = explain(&c, &CostModel::default(), &q);
+        assert_eq!(choose_mode(&c, &q, &ex.plan), ExecMode::Navigational);
+        let (rows, stats) = execute(&c, &q, &ex.plan).unwrap();
+        let p = profile_execute(&c, &q, &ex.plan).unwrap();
+        assert_eq!(p.results, rows);
+        assert_eq!(p.stats, stats);
+        assert!(p.operators.is_empty(), "{:?}", p.operators);
+        let text = p.render();
+        assert!(text.starts_with("NAV-EVAL (navigational walk)"), "{text}");
+        assert!(!text.contains("BATCH"), "{text}");
     }
 
     #[test]

@@ -14,7 +14,8 @@ use xia_advisor::{
 };
 use xia_index::{contains, DataType, IndexDefinition, IndexId};
 use xia_optimizer::{
-    evaluate_query, execute, execute_navigational, optimize, Catalog, CostModel, Plan,
+    evaluate_query, execute, execute_mode, execute_navigational, optimize, Catalog, CostModel,
+    ExecMode, Plan,
 };
 use xia_storage::{
     checkpoint_database, fingerprint, recover_database, Collection, Database, DocId, RealVfs,
@@ -52,10 +53,11 @@ pub struct CheckOptions {
     /// compression bound of the exhaustive optimum (sampled like
     /// `check_recommend` — it enumerates every configuration subset).
     pub check_advise: bool,
-    /// Also re-run every executed plan in navigational mode and demand
-    /// identical rows *and* identical [`ExecStats`] — the batched engine
-    /// and the tree-walking evaluator must never drift apart, in results
-    /// or in the page accounting the cost model is calibrated against.
+    /// Also re-run every executed plan in each forced executor mode
+    /// (batched, navigational) and demand identical rows *and*
+    /// identical [`ExecStats`] — the batched engine and the tree-walking
+    /// evaluator must never drift apart, in results or in the page
+    /// accounting the cost model is calibrated against.
     pub check_exec_parity: bool,
 }
 
@@ -259,7 +261,7 @@ fn check_plans(
                 }
                 let executed = catch_unwind(AssertUnwindSafe(|| execute(&coll, query, &plan)));
                 match executed {
-                    Ok(Ok((rows, stats))) => {
+                    Ok(Ok((rows, _))) => {
                         if rows != reference[qi] {
                             out.push(violation(
                                 "plan-equivalence",
@@ -273,31 +275,36 @@ fn check_plans(
                             ));
                         }
                         // Differential batched-vs-navigational mode: the
-                        // same plan re-run through the tree-walking
-                        // evaluator must produce the same rows and the
-                        // same ExecStats (pages_read included), or the
-                        // cost model's calibration target has forked.
+                        // same plan forced through each executor must
+                        // produce the same rows and the same ExecStats
+                        // (pages_read included), or the cost model's
+                        // calibration target has forked. Both sides are
+                        // pinned explicitly: `execute` above picks its
+                        // own mode, and a navigational pick would compare
+                        // the walker with itself.
                         if exec_parity {
-                            let nav = catch_unwind(AssertUnwindSafe(|| {
-                                execute_navigational(&coll, query, &plan)
+                            let both = catch_unwind(AssertUnwindSafe(|| {
+                                let batched = execute_mode(&coll, query, &plan, ExecMode::Batched)?;
+                                let nav = execute_navigational(&coll, query, &plan)?;
+                                Ok::<_, xia_optimizer::executor::ExecError>((batched, nav))
                             }));
-                            match nav {
-                                Ok(Ok((nrows, nstats))) => {
-                                    if nrows != rows {
+                            match both {
+                                Ok(Ok(((brows, bstats), (nrows, nstats)))) => {
+                                    if nrows != brows {
                                         out.push(violation(
                                             "exec-parity",
                                             format!(
                                                 "query {qi} ({}) with config {config:?} ({mname}): batched returned {} rows, navigational {} rows",
                                                 case.queries[qi],
-                                                rows.len(),
+                                                brows.len(),
                                                 nrows.len()
                                             ),
                                         ));
-                                    } else if nstats != stats {
+                                    } else if nstats != bstats {
                                         out.push(violation(
                                             "exec-parity",
                                             format!(
-                                                "query {qi} ({}) with config {config:?} ({mname}): ExecStats drift, batched {stats:?} vs navigational {nstats:?}",
+                                                "query {qi} ({}) with config {config:?} ({mname}): ExecStats drift, batched {bstats:?} vs navigational {nstats:?}",
                                                 case.queries[qi]
                                             ),
                                         ));
@@ -306,13 +313,13 @@ fn check_plans(
                                 Ok(Err(e)) => out.push(violation(
                                     "exec-parity",
                                     format!(
-                                        "query {qi} with config {config:?} ({mname}): navigational mode failed where batched succeeded: {e}"
+                                        "query {qi} with config {config:?} ({mname}): a forced executor mode failed where `execute` succeeded: {e}"
                                     ),
                                 )),
                                 Err(e) => out.push(violation(
                                     "exec-parity",
                                     format!(
-                                        "execute_navigational panicked on query {qi} with config {config:?} ({mname}): {}",
+                                        "a forced executor mode panicked on query {qi} with config {config:?} ({mname}): {}",
                                         panic_text(e)
                                     ),
                                 )),

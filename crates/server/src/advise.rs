@@ -38,10 +38,12 @@ use crate::json::Value;
 use crate::server::ServerState;
 use crate::tenant::TenantState;
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Instant;
 use xia_advisor::{
-    frontier_items, review_existing_indexes, AnytimeBudget, AnytimeTelemetry,
-    CompressedRecommendation, EvalStats, FrontierItem, IndexVerdict, SearchStrategy, Workload,
+    frontier_items, merge_frontiers, review_existing_indexes, AnytimeBudget, AnytimeTelemetry,
+    EvalStats, FrontierItem, IndexVerdict, Workload,
 };
 use xia_index::{DataType, IndexDefinition};
 use xia_workload::MonitorSnapshot;
@@ -50,7 +52,8 @@ use xia_xquery::NormalizedQuery;
 /// What the server remembers about a collection between advisor cycles.
 #[derive(Debug, Default)]
 pub(crate) struct CollectionMemory {
-    /// Monitor change stamp covered by the last cycle.
+    /// Monitor change stamp covered by the last cycle (the `since`
+    /// argument for the next cycle's changed-entry count).
     monitor_version: u64,
     /// Monitor eviction count at the last cycle (evictions can remove
     /// entries without bumping any surviving stamp).
@@ -66,22 +69,14 @@ pub(crate) struct CollectionMemory {
     cached: Option<CollectionCycle>,
 }
 
-impl CollectionMemory {
-    /// Monitor change stamp covered by the last cycle (the `since`
-    /// argument for the next cycle's changed-entry count).
-    pub(crate) fn monitor_version(&self) -> u64 {
-        self.monitor_version
-    }
-}
-
 /// Per-collection monitor state captured (under the monitor lock) when
 /// a cycle starts.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct MonitorDelta {
+struct MonitorDelta {
     /// The collection's highest entry stamp.
-    pub version: u64,
+    version: u64,
     /// Entries changed since the last cycle's stamp.
-    pub changed: usize,
+    changed: usize,
 }
 
 /// Outcome of one advisor cycle over one collection.
@@ -262,6 +257,55 @@ fn physical_shapes(defs: &[IndexDefinition]) -> Vec<(String, DataType)> {
         .collect()
 }
 
+impl ServerState {
+    /// Snapshot the monitor and run one advisor cycle **for the default
+    /// tenant**, recording it as the latest.
+    pub fn force_cycle(&self) -> CycleReport {
+        self.force_cycle_on(&self.default_tenant)
+    }
+
+    /// One advisor cycle for one tenant.
+    ///
+    /// The snapshot, the per-collection change stamps and the eviction
+    /// count are read under one monitor lock so the incremental
+    /// fast-path fingerprint is consistent with the workload it covers.
+    /// Afterwards the cycle's per-collection frontiers are merged and
+    /// published as this tenant's bid for the shared page budget.
+    pub fn force_cycle_on(&self, tenant: &Arc<TenantState>) -> CycleReport {
+        let (snapshot, deltas, evictions) = {
+            let monitor = tenant.lock_monitor();
+            let snapshot = monitor.snapshot();
+            let memory = tenant.lock_advisor_memory();
+            let deltas: HashMap<String, MonitorDelta> = snapshot
+                .collections()
+                .into_iter()
+                .map(|name| {
+                    let since = memory.get(&name).map(|m| m.monitor_version).unwrap_or(0);
+                    let delta = MonitorDelta {
+                        version: monitor.collection_version(&name),
+                        changed: monitor.changed_since(&name, since),
+                    };
+                    (name, delta)
+                })
+                .collect();
+            (snapshot, deltas, monitor.evictions())
+        };
+        let seq = tenant.cycles.fetch_add(1, Ordering::SeqCst) + 1;
+        let report = run_cycle(self, tenant, &snapshot, seq, &deltas, evictions);
+        *tenant.lock_cycle() = Some(report.clone());
+        let merged = merge_frontiers(
+            report
+                .collections
+                .iter()
+                .map(|c| c.frontier.clone())
+                .collect(),
+        );
+        let bound = report.collections.iter().map(|c| c.error_bound).sum();
+        *tenant.lock_frontier() = (merged, bound);
+        report
+    }
+}
+
 /// Run one advisor cycle over `snapshot` against the shared database.
 /// `deltas` holds each collection's monitor stamp and changed-entry
 /// count (captured under the monitor lock by `force_cycle`);
@@ -270,7 +314,7 @@ fn physical_shapes(defs: &[IndexDefinition]) -> Vec<(String, DataType)> {
 /// Estimates against a frozen database snapshot per collection (no
 /// lock at all) and auto-applies through the committer, so concurrent
 /// queries keep flowing during the (budget-bounded) what-if search.
-pub(crate) fn run_cycle(
+fn run_cycle(
     state: &ServerState,
     tenant: &TenantState,
     snapshot: &MonitorSnapshot,
@@ -365,40 +409,20 @@ fn advise_collection(
     // Refinement stays off so a completed search recommends exactly
     // what offline `recommend` (greedy heuristic) would.
     let budget = AnytimeBudget {
-        wall: state.advise_budget,
+        wall: state.config.advise_budget,
         max_evals: None,
     };
     let (rec, unused) = {
         let db = tenant.read_db();
         let coll = db.collection(name)?;
-        // A non-default configured strategy opts out of the compressed
-        // pipeline (anytime search mirrors the greedy heuristic only);
-        // the plain result is wrapped so the cycle shape is uniform.
-        let rec = if state.strategy == SearchStrategy::GreedyHeuristic {
-            state.advisor.recommend_compressed(
-                coll,
-                &workload,
-                state.budget_bytes,
-                &budget,
-                0,
-                &warm,
-            )
-        } else {
-            let plain =
-                state
-                    .advisor
-                    .recommend(coll, &workload, state.budget_bytes, state.strategy);
-            CompressedRecommendation {
-                raw_queries: workload.query_count(),
-                templates: workload.query_count(),
-                error_bound: 0.0,
-                budget_bytes: state.budget_bytes,
-                telemetry: AnytimeTelemetry::default(),
-                indexes: plain.indexes,
-                dag: plain.dag,
-                outcome: plain.outcome,
-            }
-        };
+        let rec = state.advisor.recommend_compressed(
+            coll,
+            &workload,
+            state.config.budget_bytes,
+            &budget,
+            0,
+            &warm,
+        );
         let unused: Vec<String> = if coll.indexes().is_empty() {
             Vec::new()
         } else {
@@ -426,7 +450,7 @@ fn advise_collection(
     // CREATE-INDEX of the same shape) converge instead of stacking
     // duplicate indexes.
     let mut applied = 0;
-    if state.auto_apply {
+    if state.config.auto_apply {
         for def in &missing {
             match submit_and_wait(
                 &tenant.committer,

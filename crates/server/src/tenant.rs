@@ -20,7 +20,7 @@ use crate::advise::{CollectionMemory, CycleReport};
 use crate::committer::{Committer, CommitterConfig};
 use crate::json::Value;
 use crate::metrics::Metrics;
-use crate::server::heal_lock;
+use crate::server::{heal_lock, DurabilityConfig, ServerConfig};
 use crate::snapshot::{Snapshot, SnapshotCell};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use xia_advisor::FrontierItem;
 use xia_storage::{Database, DurableStore, Vfs};
-use xia_workload::{load_monitor_with, Clock, MonitorConfig, WorkloadMonitor};
+use xia_workload::{load_monitor_with, WorkloadMonitor};
 
 /// The reserved name addressing the root namespace. Requests without a
 /// `tenant` field resolve here, which is what keeps the single-tenant
@@ -77,15 +77,6 @@ pub(crate) fn scan_tenant_dirs(vfs: &dyn Vfs, root: &Path) -> Vec<String> {
     names
 }
 
-/// How one tenant persists: its own directory (the durability root for
-/// the default tenant, `root/tenants/<name>` for named ones).
-#[derive(Clone)]
-pub(crate) struct TenantDurability {
-    pub vfs: Arc<dyn Vfs>,
-    pub dir: PathBuf,
-    pub checkpoint_every: Option<u64>,
-}
-
 /// Everything one namespace owns. Isolation is structural: a request
 /// resolved to this tenant can only reach this cell, this committer,
 /// this monitor and this store.
@@ -100,7 +91,9 @@ pub struct TenantState {
     /// Shared with this tenant's committer; the server touches it only
     /// for STATS and the shutdown flush.
     pub(crate) store: Option<Arc<Mutex<DurableStore>>>,
-    pub(crate) durability: Option<TenantDurability>,
+    /// The daemon's durability settings with `dir` pointing at this
+    /// tenant's own directory.
+    pub(crate) durability: Option<DurabilityConfig>,
     /// Requests currently dispatching against this tenant (the
     /// per-tenant brownout input).
     pub(crate) in_flight: AtomicU64,
@@ -114,19 +107,27 @@ pub struct TenantState {
 }
 
 impl TenantState {
-    /// Open (or create) a tenant: recover its durable directory when
-    /// one is configured — recovered state **wins** over `seed_db`,
+    /// Open (or create) a tenant under the daemon's configuration:
+    /// recover its durable directory when durability is configured —
+    /// the durability root for the default tenant, `root/tenants/<name>`
+    /// for named ones; recovered state **wins** over `seed_db`,
     /// otherwise `seed_db` is checkpointed as generation 1 — restore
     /// its monitor, and start its committer.
     pub(crate) fn open(
         name: &str,
         seed_db: Database,
-        durability: Option<TenantDurability>,
-        monitor_cfg: MonitorConfig,
-        clock: Arc<dyn Clock>,
+        cfg: &ServerConfig,
         metrics: Arc<Metrics>,
     ) -> std::io::Result<TenantState> {
-        let mut monitor = WorkloadMonitor::new(monitor_cfg, clock);
+        let durability = cfg.durability.as_ref().map(|d| DurabilityConfig {
+            dir: if name == DEFAULT_TENANT {
+                d.dir.clone()
+            } else {
+                tenant_dir(&d.dir, name)
+            },
+            ..d.clone()
+        });
+        let mut monitor = WorkloadMonitor::new(cfg.monitor.clone(), cfg.clock.clone());
         let (db, store) = match &durability {
             None => (seed_db, None),
             Some(d) => {
@@ -258,16 +259,22 @@ impl TenantState {
         }
     }
 
+    /// The monitor's gauges, for STATS (top level and per tenant).
+    pub(crate) fn monitor_json(&self) -> Value {
+        let m = self.lock_monitor();
+        Value::obj(vec![
+            ("tracked", Value::num(m.len() as f64)),
+            ("observed", Value::num(m.observed() as f64)),
+            ("evictions", Value::num(m.evictions() as f64)),
+        ])
+    }
+
     /// The per-tenant STATS section.
     pub(crate) fn stats_json(&self) -> Value {
         let db = self.read_db();
         let (docs, indexes) = db.collections().fold((0usize, 0usize), |(d, i), c| {
             (d + c.len(), i + c.indexes().len())
         });
-        let (tracked, observed, evictions) = {
-            let m = self.lock_monitor();
-            (m.len(), m.observed(), m.evictions())
-        };
         let (frontier_len, error_bound) = {
             let f = self.lock_frontier();
             (f.0.len(), f.1)
@@ -298,14 +305,7 @@ impl TenantState {
                 "committer_queue",
                 Value::num(self.committer.queue_depth() as f64),
             ),
-            (
-                "monitor",
-                Value::obj(vec![
-                    ("tracked", Value::num(tracked as f64)),
-                    ("observed", Value::num(observed as f64)),
-                    ("evictions", Value::num(evictions as f64)),
-                ]),
-            ),
+            ("monitor", self.monitor_json()),
             ("frontier_items", Value::num(frontier_len as f64)),
             ("error_bound", Value::num(error_bound)),
             ("durability", self.durability_json()),

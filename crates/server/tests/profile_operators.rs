@@ -69,3 +69,72 @@ fn profile_reports_batch_operator_breakdown() {
 
     server.stop();
 }
+
+/// PROFILE profiles the mode QUERY runs: on a selective child chain
+/// over homonym-heavy documents `choose_mode` hands the query to the
+/// navigational walker, and the profile says so — no batch operators,
+/// same rows as QUERY.
+#[test]
+fn profile_follows_query_to_the_navigational_walker() {
+    // A shallow /site/item/price chain whose labels also flood a decoy
+    // subtree: the walk touches a handful of nodes, the batch engine
+    // would drag in every homonymous column entry.
+    let mut coll = Collection::new("auctions");
+    for i in 0..8 {
+        let mut b = xia_xml::DocumentBuilder::new();
+        b.open("site");
+        b.open("item");
+        b.leaf("price", &format!("{i}"));
+        b.close();
+        b.open("junk");
+        for _ in 0..100 {
+            b.open("item");
+            b.leaf("price", "0");
+            b.close();
+        }
+        b.close();
+        b.close();
+        coll.insert(b.finish().expect("balanced document"));
+    }
+    let q = xia_xquery::compile("/site/item/price", "auctions").expect("compiles");
+    let plan = xia_optimizer::explain(&coll, &xia_optimizer::CostModel::default(), &q).plan;
+    assert_eq!(
+        xia_optimizer::choose_mode(&coll, &q, &plan),
+        xia_optimizer::ExecMode::Navigational
+    );
+    let mut db = Database::new();
+    assert!(db.add_collection(coll));
+
+    let server = Server::start(
+        db,
+        ServerConfig {
+            threads: 2,
+            clock: Arc::new(FakeClock::new()),
+            ..Default::default()
+        },
+    )
+    .expect("daemon starts");
+    let mut c = Client::connect(server.addr()).expect("connect");
+    let mut call = |cmd: &str| {
+        let resp = c
+            .call(&Value::obj(vec![
+                ("cmd", Value::str(cmd)),
+                ("q", Value::str("/site/item/price")),
+            ]))
+            .expect("transport");
+        assert_eq!(resp.get_bool("ok"), Some(true), "{resp}");
+        resp
+    };
+    let query = call("query");
+    let profile = call("profile");
+
+    assert_eq!(query.get_f64("results"), Some(8.0), "{query}");
+    assert_eq!(profile.get_f64("results"), query.get_f64("results"));
+    let tree = profile.get_str("profile").expect("rendered tree");
+    assert!(tree.starts_with("NAV-EVAL (navigational walk)"), "{tree}");
+    assert!(!tree.contains("BATCH"), "{tree}");
+    let ops = profile.get("operators").and_then(Value::as_arr);
+    assert_eq!(ops.map(<[Value]>::len), Some(0), "{profile}");
+
+    server.stop();
+}

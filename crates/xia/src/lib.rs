@@ -63,8 +63,7 @@ pub mod prelude {
     pub use xia_index::{DataType, IndexDefinition, IndexId};
     pub use xia_optimizer::{
         enumerate_indexes, evaluate_indexes, execute, execute_navigational, explain,
-        profile_execute, run_batch, BatchPlan, CostModel, ExecMode, ExplainMode, OperatorStat,
-        Profile,
+        profile_execute, run_batch, BatchPlan, CostModel, ExecMode, OperatorStat, Profile,
     };
     pub use xia_server::{
         AdmissionConfig, ChaosFactory, ChaosProfile, Client, CycleReport, DurabilityConfig,

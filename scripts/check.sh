@@ -93,6 +93,14 @@ run_hard cargo test -q --offline -p xia-server --test tenants
 # per-tenant in-flight cap, then reconcile per-tenant counts exactly —
 # live and again after restart from each tenant's durable directory.
 run_hard ./target/release/xia-cli fuzz --tenants --seed 42 --budget 4
+# The wire golden by name: every command's response bytes (timings
+# masked, STATS as its key set) as the single-file daemon produced them.
+run_hard cargo test -q --offline -p xia-server --test wire_snapshot
+# The benchmark package's own tests. `benchmark/` is frozen between
+# benchmark PRs and imports the daemon and the executor by path
+# (`xia::server::server::handle_line`, `xia::optimizer::choose_mode`, ...),
+# so this is also the proof it still compiles against moved code.
+run_hard cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Persistence code must do ALL file I/O through the injectable Vfs —
 # a direct std::fs call is a fault-injection blind spot the crash
@@ -177,6 +185,45 @@ check_one_greedy() {
   fi
 }
 check_one_greedy
+
+# The plan walk exists once: candidates are gathered and documents
+# verified by `executor.rs::walk`, which QUERY and PROFILE both run (a
+# second copy in profile.rs once drifted into profiling a mode QUERY
+# did not execute). The batch engine's own module and unit-test modules
+# may call the per-document entry points directly.
+check_one_plan_walk() {
+  echo "==> grep: one plan walk (optimizer/src/executor.rs)"
+  local bad=0 f
+  for f in $(find crates/optimizer/src -name '*.rs' \
+               -not -path 'crates/optimizer/src/exec/*' \
+               -not -name executor.rs); do
+    if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" \
+        | grep -E 'run_batch\(|run_on_document\(|leg_candidate_docs\('; then
+      bad=1
+    fi
+  done
+  if [ "$bad" -ne 0 ]; then
+    echo "FAILED: a second plan walk outside executor.rs (see matches above)" >&2
+    failures=$((failures + 1))
+  fi
+}
+check_one_plan_walk
+
+# The read handlers share nothing mutable: QUERY/EXPLAIN/PROFILE run on
+# an immutable snapshot and may not acquire a lock. The one allowance is
+# QUERY feeding the per-tenant monitor, `lock_monitor().observe(`;
+# ROADMAP 5(a) (per-worker observation buffers) deletes it, and this
+# allow-list line with it.
+check_read_path_locks() {
+  echo "==> grep: no lock acquisition in the read handlers"
+  if grep -nE 'lock_[a-z_]*\(|\.lock\(' crates/server/src/server/read.rs \
+      | grep -vE '^[0-9]+:\s*//' \
+      | grep -vF 'tenant.lock_monitor().observe(&p.query);'; then
+    echo "FAILED: crates/server/src/server/read.rs takes a lock (see matches above)" >&2
+    failures=$((failures + 1))
+  fi
+}
+check_read_path_locks
 
 run_if_installed fmt cargo fmt --check
 run_if_installed clippy cargo clippy --offline --all-targets -- -D warnings
