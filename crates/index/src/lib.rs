@@ -21,11 +21,13 @@
 //! selects is indexed), i.e. linear-XPath containment `L(Q) ⊆ L(P)`.
 
 pub mod containment;
+pub mod cow_map;
 pub mod matching;
 pub mod pattern;
 pub mod physical;
 
 pub use containment::{contains, equivalent, strictly_contains};
+pub use cow_map::CowMap;
 pub use matching::{match_index, IndexMatch, PathPredicate, ValuePredicate};
 pub use pattern::{DataType, IndexDefinition, IndexId};
 pub use physical::{IndexKey, PhysicalIndex, Posting};

@@ -1,22 +1,25 @@
 //! Physical XML pattern indexes.
 //!
-//! A B-tree-style ordered map from typed keys to posting lists of
-//! `(document, node)` pairs. One entry exists per node reachable by the
-//! index pattern; the key is the node's string value (VARCHAR) or its
+//! A B-tree-style ordered map ([`CowMap`]) from typed keys to posting
+//! lists of `(document, node)` pairs. One entry exists per node reachable
+//! by the index pattern; the key is the node's string value (VARCHAR) or its
 //! numeric interpretation (DOUBLE, skipping non-numeric values).
 //!
 //! The structure also serves purely structural probes (existence of the
 //! pattern) by scanning posting lists regardless of key.
 
+use crate::cow_map::CowMap;
 use crate::pattern::{DataType, IndexDefinition};
-use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 use xia_xml::{Document, NodeId, NodeKind};
 
 /// Typed index key with a total order (NaNs are never stored).
 #[derive(Debug, Clone, PartialEq)]
 pub enum IndexKey {
-    Str(Box<str>),
+    /// Shared, so the postings map's leaf copies and separators clone
+    /// a pointer, not the text.
+    Str(Arc<str>),
     Num(f64),
 }
 
@@ -29,7 +32,7 @@ impl Ord for IndexKey {
             (Str(a), Str(b)) => a.cmp(b),
             (Num(a), Num(b)) => a.partial_cmp(b).expect("NaN keys are rejected on insert"),
             // A single index never mixes key types; order across types is
-            // arbitrary but must be total for BTreeMap.
+            // arbitrary but must be total for the ordered map.
             (Num(_), Str(_)) => std::cmp::Ordering::Less,
             (Str(_), Num(_)) => std::cmp::Ordering::Greater,
         }
@@ -58,7 +61,7 @@ const ENTRY_OVERHEAD: usize = 12;
 #[derive(Debug, Clone)]
 pub struct PhysicalIndex {
     def: IndexDefinition,
-    map: BTreeMap<IndexKey, Vec<Posting>>,
+    map: CowMap<IndexKey, Vec<Posting>>,
     entries: usize,
     key_bytes: usize,
 }
@@ -70,7 +73,7 @@ impl PhysicalIndex {
         assert!(!def.is_virtual, "cannot build a virtual index");
         PhysicalIndex {
             def,
-            map: BTreeMap::new(),
+            map: CowMap::new(),
             entries: 0,
             key_bytes: 0,
         }
@@ -104,7 +107,7 @@ impl PhysicalIndex {
             }
             if let Some(key) = self.key_for(doc, node) {
                 self.key_bytes += key_len(&key);
-                self.map.entry(key).or_default().push(Posting {
+                self.map.upsert(&key, || key.clone()).push(Posting {
                     doc: doc_id,
                     node: node.as_u32(),
                 });
@@ -118,7 +121,7 @@ impl PhysicalIndex {
     fn key_for(&self, doc: &Document, node: NodeId) -> Option<IndexKey> {
         let value = doc.string_value(node);
         match self.def.data_type {
-            DataType::Varchar => Some(IndexKey::Str(value.into_boxed_str())),
+            DataType::Varchar => Some(IndexKey::Str(value.into())),
             DataType::Double => {
                 let n = value.trim().parse::<f64>().ok()?;
                 (!n.is_nan()).then_some(IndexKey::Num(n))
@@ -153,9 +156,7 @@ impl PhysicalIndex {
         lo: Bound<&IndexKey>,
         hi: Bound<&IndexKey>,
     ) -> impl Iterator<Item = Posting> + '_ {
-        self.map
-            .range((lo, hi))
-            .flat_map(|(_, v)| v.iter().copied())
+        self.map.range(lo, hi).flat_map(|(_, v)| v.iter().copied())
     }
 
     /// All postings (structural probe: "every node matching the pattern").
@@ -163,11 +164,19 @@ impl PhysicalIndex {
         self.map.values().flat_map(|v| v.iter().copied())
     }
 
+    /// Every key with its posting list, in key order.
+    pub fn postings(&self) -> impl Iterator<Item = (&IndexKey, &[Posting])> + '_ {
+        self.map.iter().map(|(k, v)| (k, v.as_slice()))
+    }
+
     /// Prefix probe on a VARCHAR index: postings whose string key starts
     /// with `prefix` (serves `starts-with(path, "prefix")` sargably).
     pub fn probe_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = Posting> + 'a {
         self.map
-            .range(IndexKey::Str(prefix.into())..)
+            .range(
+                Bound::Included(&IndexKey::Str(prefix.into())),
+                Bound::Unbounded,
+            )
             .take_while(move |(k, _)| match k {
                 IndexKey::Str(s) => s.starts_with(prefix),
                 IndexKey::Num(_) => false,
@@ -187,6 +196,12 @@ impl PhysicalIndex {
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
         self.map.len()
+    }
+
+    /// Postings-map leaves not shared with `base` (all of them without
+    /// one): what writing to a clone of `base` has copied.
+    pub fn unshared_leaves(&self, base: Option<&PhysicalIndex>) -> usize {
+        base.map_or(self.map.leaf_count(), |b| self.map.unshared_leaves(&b.map))
     }
 
     /// Estimated on-disk size in bytes (keys + per-entry overhead).

@@ -18,7 +18,8 @@ use xia_optimizer::{
     ExecMode, Plan,
 };
 use xia_storage::{
-    checkpoint_database, fingerprint, recover_database, Collection, Database, DocId, RealVfs,
+    checkpoint_database, derived_fingerprint, fingerprint, recover_database, Collection, Database,
+    DocId, RealVfs,
 };
 use xia_xml::{Document, NodeId, NodeKind};
 use xia_xpath::LinearPath;
@@ -769,7 +770,16 @@ fn check_advise_quality(case: &Case, out: &mut Vec<Violation>) {
     }
 }
 
-/// Invariant 4: checkpoint + recover reproduces the database fingerprint.
+/// What the durability and replay invariants compare: the logical
+/// state ([`fingerprint`]: documents, index definitions) followed by the
+/// state derived from it ([`derived_fingerprint`]: statistics, index
+/// postings), so a divergence in either is caught.
+pub(crate) fn state_fingerprint(db: &Database) -> String {
+    fingerprint(db) + &derived_fingerprint(db)
+}
+
+/// Invariant 4: checkpoint + recover reproduces the database fingerprint
+/// and the statistics and postings derived from it.
 fn check_durability(
     case: &Case,
     specs: &[(LinearPath, DataType)],
@@ -780,7 +790,7 @@ fn check_durability(
     let coll = build_collection(case, specs, &all);
     let mut db = Database::new();
     db.add_collection(coll);
-    let before = fingerprint(&db);
+    let before = state_fingerprint(&db);
 
     // A per-case subdirectory so generations never bleed across cases.
     let dir = scratch.join(format!("case_{:016x}", case_key(case)));
@@ -792,7 +802,7 @@ fn check_durability(
     }));
     match result {
         Ok(Ok(rec)) => {
-            let after = fingerprint(&rec.database);
+            let after = state_fingerprint(&rec.database);
             if after != before {
                 out.push(violation(
                     "durability",

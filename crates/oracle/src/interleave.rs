@@ -7,7 +7,10 @@
 //! 1. **linearizability** — every acknowledged write carries a global
 //!    `commit_seq`; replaying the acknowledged ops *in commit order*
 //!    over the base database must reproduce the final published
-//!    snapshot's fingerprint exactly. If the committer ever interleaved
+//!    snapshot's fingerprint exactly — documents and index definitions,
+//!    and the statistics and postings derived from them (copy-on-write
+//!    sharing between snapshots must never leak a write into an older
+//!    one or drop one from a newer one). If the committer ever interleaved
 //!    two staged batches, dropped an acked op, or published
 //!    out-of-order, the fingerprints split.
 //! 2. **prefix consistency** — a reader polling snapshots concurrently
@@ -23,13 +26,14 @@
 //! so a failing seed reproduces the same op mix even though the exact
 //! interleaving varies. The invariants hold for every interleaving.
 
+use crate::check::state_fingerprint;
 use crate::rng::Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use xia_server::{
     submit_and_wait, Committer, CommitterConfig, Metrics, SnapshotCell, WriteCmd, WriteOutcome,
 };
-use xia_storage::{fingerprint, recover_database, Database, DurableStore, RealVfs, WalOp};
+use xia_storage::{recover_database, Database, DurableStore, RealVfs, WalOp};
 use xia_xml::Document;
 use xia_xpath::LinearPath;
 
@@ -165,7 +169,7 @@ fn run_round(
     report: &mut InterleaveReport,
 ) {
     let db = base_db(rng);
-    let fp_base = fingerprint(&db);
+    let fp_base = state_fingerprint(&db);
     let cell = Arc::new(SnapshotCell::new(db.clone()));
     let store = scratch.map(|dir| {
         let _ = std::fs::remove_dir_all(dir);
@@ -269,8 +273,8 @@ fn run_round(
     for (_, op) in &acked {
         op.apply(&mut replayed);
     }
-    let fp_final = fingerprint(&cell.load_slow());
-    let fp_replay = fingerprint(&replayed);
+    let fp_final = state_fingerprint(&cell.load_slow());
+    let fp_replay = state_fingerprint(&replayed);
     if fp_final != fp_replay {
         report.failures.push(format!(
             "round {round}: commit-order replay diverged from the published snapshot\n\
@@ -283,7 +287,7 @@ fn run_round(
     if let Some(dir) = scratch {
         match recover_database(&RealVfs, dir) {
             Ok(rec) => {
-                let fp_disk = fingerprint(&rec.database);
+                let fp_disk = state_fingerprint(&rec.database);
                 if fp_disk != fp_final {
                     report.failures.push(format!(
                         "round {round}: recovered state diverged from memory\n\

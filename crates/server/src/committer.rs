@@ -220,20 +220,22 @@ impl Committer {
         if dead {
             self.respawn(&mut inner);
         }
+        // Count the job before it can be seen: once sent, the committer
+        // may commit it and `fetch_sub` before this thread runs again,
+        // and an increment after the send would let the gauge wrap.
+        let depth = &self.shared.metrics.concurrency.queue_depth;
+        depth.fetch_add(1, Ordering::Relaxed);
         let tx = inner.tx.as_ref().expect("respawn installed a sender");
         if let Err(mpsc::SendError(returned)) = tx.send(job) {
             // Lost the race with a thread death: respawn once and retry.
             job = returned;
             self.respawn(&mut inner);
             let tx = inner.tx.as_ref().expect("respawn installed a sender");
-            tx.send(job)
-                .map_err(|_| "committer unavailable".to_string())?;
+            if tx.send(job).is_err() {
+                depth.fetch_sub(1, Ordering::Relaxed);
+                return Err("committer unavailable".to_string());
+            }
         }
-        self.shared
-            .metrics
-            .concurrency
-            .queue_depth
-            .fetch_add(1, Ordering::Relaxed);
         Ok(rx)
     }
 
@@ -640,5 +642,70 @@ pub fn wait_with_deadline(
             }
             rx.recv_timeout(left)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The gauge counts a job before the committer can see it, so a
+    /// sampler racing concurrent inserts never reads more jobs than were
+    /// ever submitted. With the increment after the send, the
+    /// committer's `fetch_sub` could land first and wrap it to ≈1.8e19;
+    /// on a two-core host this test caught that in 8 runs of 10 (half
+    /// of them with 2 000 inserts, hence 5 000).
+    #[test]
+    fn queue_depth_never_exceeds_jobs_submitted() {
+        const WRITERS: usize = 2;
+        const PER_WRITER: usize = 2500;
+        let mut db = Database::new();
+        db.create_collection("c");
+        let committer = Committer::start(
+            Arc::new(SnapshotCell::new(db)),
+            None,
+            Arc::new(Metrics::new()),
+            CommitterConfig::default(),
+        );
+        let done = AtomicBool::new(false);
+        let max_seen = std::thread::scope(|s| {
+            let sampler = s.spawn(|| {
+                let mut max = 0;
+                while !done.load(Ordering::SeqCst) {
+                    max = max.max(committer.queue_depth());
+                }
+                max
+            });
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let committer = &committer;
+                    s.spawn(move || {
+                        for i in 0..PER_WRITER {
+                            let xml = format!("<r><w>{w}</w><i>{i}</i></r>");
+                            let cmd = WriteCmd::Insert {
+                                collection: "c".into(),
+                                doc: Arc::new(Document::parse(&xml).expect("well-formed")),
+                                xml,
+                            };
+                            submit_and_wait(committer, cmd).expect("insert commits");
+                        }
+                    })
+                })
+                .collect();
+            for w in writers {
+                w.join().expect("writer thread");
+            }
+            done.store(true, Ordering::SeqCst);
+            sampler.join().expect("sampler thread")
+        });
+        assert!(
+            max_seen <= (WRITERS * PER_WRITER) as u64,
+            "queue_depth read {max_seen} with {} jobs submitted",
+            WRITERS * PER_WRITER
+        );
+        // A reply precedes its batch's `fetch_sub`; after the join every
+        // job has left the queue.
+        committer.stop();
+        assert_eq!(committer.queue_depth(), 0);
     }
 }

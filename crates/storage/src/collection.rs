@@ -25,11 +25,14 @@ pub struct UpdateReport {
 /// A named collection of XML documents (the analogue of a table with an
 /// XML column), plus its physical indexes and statistics.
 ///
-/// Documents are held behind `Arc` so cloning a collection — the
-/// copy-on-write step of the snapshot-isolated server — shares every
-/// document structurally instead of deep-copying the dominant part of
-/// the data. Statistics and indexes are cloned (they are the mutable
-/// parts a write batch goes on to touch anyway).
+/// Cloning a collection — the copy-on-write step of the snapshot-isolated
+/// server — copies no data: documents are held behind `Arc`, and the
+/// statistics and every index's postings are copy-on-write structures
+/// whose clone copies pointers (see [`CollectionStats`] and
+/// [`xia_index::CowMap`]). A write then copies only the path entries
+/// and map leaves it touches ([`Collection::unshared_parts`] counts
+/// them); what stays proportional to the collection is one pointer per
+/// document slot, per dictionary path and per index leaf.
 #[derive(Debug, Clone)]
 pub struct Collection {
     name: String,
@@ -150,6 +153,19 @@ impl Collection {
     /// Look up a physical index by id.
     pub fn index(&self, id: IndexId) -> Option<&PhysicalIndex> {
         self.indexes.iter().find(|ix| ix.definition().id == id)
+    }
+
+    /// Statistics parts and index leaves of `self` that are not shared
+    /// with `base` (see [`CollectionStats::unshared_parts`]): what the
+    /// copy-on-write step of a commit from `base` has copied. The
+    /// document slots, one pointer each, are not counted.
+    pub fn unshared_parts(&self, base: &Collection) -> usize {
+        let indexes: usize = self
+            .indexes
+            .iter()
+            .map(|ix| ix.unshared_leaves(base.index(ix.definition().id)))
+            .sum();
+        self.stats.unshared_parts(&base.stats) + indexes
     }
 
     /// Total pages across data and indexes.

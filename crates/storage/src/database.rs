@@ -15,11 +15,13 @@ use xia_index::IndexId;
 /// Collections sit behind `Arc`, which makes the database **copy-on-
 /// write**: `Database::clone` copies only the name → `Arc` map, and a
 /// subsequent [`Database::collection_mut`] clones exactly the touched
-/// collection (via `Arc::make_mut`), leaving every other collection —
-/// and, through [`Collection`]'s own `Arc`-shared documents, most of the
-/// touched one — structurally shared with older clones. The snapshot-
-/// isolated server leans on this: readers hold immutable `Arc<Database>`
-/// snapshots while a single committer clones, mutates, and republishes.
+/// collection (via `Arc::make_mut`), leaving every other collection
+/// structurally shared with older clones. That clone is itself shallow
+/// — pointers to documents, path entries and index leaves, see
+/// [`Collection`] — so a write then copies only the parts it touches.
+/// The snapshot-isolated server leans on this: readers hold immutable
+/// `Arc<Database>` snapshots while a single committer clones, mutates,
+/// and republishes.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
     collections: BTreeMap<String, Arc<Collection>>,
@@ -63,7 +65,7 @@ impl Database {
     }
 
     /// Exclusive access to a collection. On a copy-on-write clone this
-    /// is the point where the touched collection is actually copied
+    /// is the point where the touched collection is shallow-copied
     /// (once — later calls in the same clone mutate in place).
     pub fn collection_mut(&mut self, name: &str) -> Option<&mut Collection> {
         self.collections.get_mut(name).map(Arc::make_mut)

@@ -697,6 +697,41 @@ pub fn fingerprint(db: &Database) -> String {
     out
 }
 
+/// Canonical rendering of what a database *derives* from its documents
+/// and DDL — each collection's statistics (path dictionary, counts,
+/// value maps or histograms) and every index's keys and postings. The
+/// sibling of [`fingerprint`], which covers the logical state only: two
+/// databases built by the same operations in the same order must agree
+/// on both, so a structure shared between snapshots that was written
+/// through (or a stale copy) shows up here even when the documents
+/// match.
+pub fn derived_fingerprint(db: &Database) -> String {
+    let mut out = String::new();
+    for coll in db.collections() {
+        let _ = writeln!(out, "collection {}", coll.name());
+        coll.stats().write_digest(&mut out);
+        let mut indexes: Vec<_> = coll.indexes().iter().collect();
+        indexes.sort_by_key(|ix| ix.definition().id.0);
+        for ix in indexes {
+            let _ = writeln!(
+                out,
+                "index {} entries {} bytes {}",
+                ix.definition().id.0,
+                ix.len(),
+                ix.byte_size()
+            );
+            for (key, postings) in ix.postings() {
+                let _ = write!(out, "  {key:?}");
+                for p in postings {
+                    let _ = write!(out, " {}.{}", p.doc, p.node);
+                }
+                out.push('\n');
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

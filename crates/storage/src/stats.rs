@@ -12,8 +12,10 @@
 //! index on P occupy") is answered here by matching the pattern against
 //! dictionary paths and aggregating.
 
-use std::collections::{BTreeMap, HashMap};
-use xia_index::DataType;
+use std::collections::HashMap;
+use std::ops::Bound;
+use std::sync::Arc;
+use xia_index::{CowMap, DataType};
 use xia_xml::{Document, NodeId, NodeKind};
 use xia_xpath::{CmpOp, LinearPath, Literal};
 
@@ -56,14 +58,14 @@ pub struct EquiDepth<T> {
 }
 
 impl<T: Ord + Clone> EquiDepth<T> {
-    fn from_exact(map: &BTreeMap<T, u32>) -> EquiDepth<T> {
+    fn from_exact(map: &CowMap<T, u32>) -> EquiDepth<T> {
         let total: u64 = map.values().map(|&c| u64::from(c)).sum();
         let distinct = map.len() as u64;
         let per_bucket = (total / HIST_BUCKETS as u64).max(1);
         let mut bounds = Vec::with_capacity(HIST_BUCKETS);
         let mut counts = Vec::with_capacity(HIST_BUCKETS);
         let mut acc = 0u64;
-        for (value, &c) in map {
+        for (value, &c) in map.iter() {
             acc += u64::from(c);
             if acc >= per_bucket {
                 bounds.push(value.clone());
@@ -72,7 +74,7 @@ impl<T: Ord + Clone> EquiDepth<T> {
             }
         }
         if acc > 0 {
-            if let Some(last) = map.keys().next_back() {
+            if let Some(last) = map.last_key() {
                 bounds.push(last.clone());
                 counts.push(acc);
             }
@@ -151,11 +153,11 @@ impl<T: Ord + Clone> EquiDepth<T> {
 #[derive(Debug, Clone)]
 pub enum ValueDist {
     Exact {
-        strings: BTreeMap<Box<str>, u32>,
-        numbers: BTreeMap<OrdF64, u32>,
+        strings: CowMap<Arc<str>, u32>,
+        numbers: CowMap<OrdF64, u32>,
     },
     Collapsed {
-        strings: EquiDepth<Box<str>>,
+        strings: EquiDepth<Arc<str>>,
         numbers: EquiDepth<OrdF64>,
     },
 }
@@ -163,8 +165,8 @@ pub enum ValueDist {
 impl Default for ValueDist {
     fn default() -> Self {
         ValueDist::Exact {
-            strings: BTreeMap::new(),
-            numbers: BTreeMap::new(),
+            strings: CowMap::new(),
+            numbers: CowMap::new(),
         }
     }
 }
@@ -174,9 +176,9 @@ impl ValueDist {
         let num = value.trim().parse::<f64>().ok().filter(|n| !n.is_nan());
         match self {
             ValueDist::Exact { strings, numbers } => {
-                *strings.entry(value.into()).or_insert(0) += 1;
+                *strings.upsert(value, || value.into()) += 1;
                 if let Some(n) = num {
-                    *numbers.entry(OrdF64(n)).or_insert(0) += 1;
+                    *numbers.upsert(&OrdF64(n), || OrdF64(n)) += 1;
                 }
                 if strings.len() > EXACT_CAP {
                     *self = ValueDist::Collapsed {
@@ -186,7 +188,7 @@ impl ValueDist {
                 }
             }
             ValueDist::Collapsed { strings, numbers } => {
-                strings.add(&Box::from(value));
+                strings.add(&Arc::from(value));
                 if let Some(n) = num {
                     numbers.add(&OrdF64(n));
                 }
@@ -198,23 +200,13 @@ impl ValueDist {
         let num = value.trim().parse::<f64>().ok().filter(|n| !n.is_nan());
         match self {
             ValueDist::Exact { strings, numbers } => {
-                if let Some(c) = strings.get_mut(value) {
-                    *c -= 1;
-                    if *c == 0 {
-                        strings.remove(value);
-                    }
-                }
+                strings.update_or_remove(value, decrement);
                 if let Some(n) = num {
-                    if let Some(c) = numbers.get_mut(&OrdF64(n)) {
-                        *c -= 1;
-                        if *c == 0 {
-                            numbers.remove(&OrdF64(n));
-                        }
-                    }
+                    numbers.update_or_remove(&OrdF64(n), decrement);
                 }
             }
             ValueDist::Collapsed { strings, numbers } => {
-                strings.remove(&Box::from(value));
+                strings.remove(&Arc::from(value));
                 if let Some(n) = num {
                     numbers.remove(&OrdF64(n));
                 }
@@ -229,6 +221,23 @@ impl ValueDist {
             (ValueDist::Exact { numbers, .. }, DataType::Double) => numbers.len() as u64,
             (ValueDist::Collapsed { strings, .. }, DataType::Varchar) => strings.distinct,
             (ValueDist::Collapsed { numbers, .. }, DataType::Double) => numbers.distinct,
+        }
+    }
+
+    /// Value-map leaves of `self` not shared with `base`.
+    fn unshared_leaves(&self, base: &ValueDist) -> usize {
+        match (self, base) {
+            (
+                ValueDist::Exact { strings, numbers },
+                ValueDist::Exact {
+                    strings: base_strings,
+                    numbers: base_numbers,
+                },
+            ) => strings.unshared_leaves(base_strings) + numbers.unshared_leaves(base_numbers),
+            (ValueDist::Exact { strings, numbers }, _) => {
+                strings.leaf_count() + numbers.leaf_count()
+            }
+            (ValueDist::Collapsed { .. }, _) => 0,
         }
     }
 
@@ -259,7 +268,7 @@ impl ValueDist {
                 if op == CmpOp::StartsWith {
                     // Exact prefix count over the ordered value map.
                     let hits: u64 = strings
-                        .range(Box::<str>::from(s.as_str())..)
+                        .range(Bound::Included(s.as_str()), Bound::Unbounded)
                         .take_while(|(k, _)| k.starts_with(s.as_str()))
                         .map(|(_, &c)| u64::from(c))
                         .sum();
@@ -273,20 +282,31 @@ impl ValueDist {
                         .sum();
                     return (hits as f64 / total as f64).min(1.0);
                 }
-                exact_selectivity(strings, op, &Box::from(s.as_str()), total)
+                exact_selectivity(strings, op, s.as_str(), total)
             }
             (ValueDist::Collapsed { numbers, .. }, Literal::Num(v)) => {
                 numbers.selectivity(op, &OrdF64(*v))
             }
             (ValueDist::Collapsed { strings, .. }, Literal::Str(s)) => {
-                strings.selectivity(op, &Box::from(s.as_str()))
+                strings.selectivity(op, &Arc::from(s.as_str()))
             }
         }
     }
 }
 
-fn exact_selectivity<T: Ord>(map: &BTreeMap<T, u32>, op: CmpOp, v: &T, total: u64) -> f64 {
+/// Count decrement for a value map: keep the entry while it is positive.
+fn decrement(c: &mut u32) -> bool {
+    *c -= 1;
+    *c > 0
+}
+
+fn exact_selectivity<K, Q>(map: &CowMap<K, u32>, op: CmpOp, v: &Q, total: u64) -> f64
+where
+    K: Ord + Clone + std::borrow::Borrow<Q>,
+    Q: Ord + ?Sized,
+{
     let total = total as f64;
+    let sum = |lo, hi| -> u64 { map.range(lo, hi).map(|(_, &c)| u64::from(c)).sum() };
     let count: u64 = match op {
         CmpOp::StartsWith | CmpOp::Contains => {
             unreachable!("string functions are handled before exact_selectivity")
@@ -296,13 +316,10 @@ fn exact_selectivity<T: Ord>(map: &BTreeMap<T, u32>, op: CmpOp, v: &T, total: u6
             let eq = map.get(v).copied().map_or(0, u64::from);
             map.values().map(|&c| u64::from(c)).sum::<u64>() - eq
         }
-        CmpOp::Lt => map.range(..v).map(|(_, &c)| u64::from(c)).sum(),
-        CmpOp::Le => map.range(..=v).map(|(_, &c)| u64::from(c)).sum(),
-        CmpOp::Gt => map
-            .range((std::ops::Bound::Excluded(v), std::ops::Bound::Unbounded))
-            .map(|(_, &c)| u64::from(c))
-            .sum(),
-        CmpOp::Ge => map.range(v..).map(|(_, &c)| u64::from(c)).sum(),
+        CmpOp::Lt => sum(Bound::Unbounded, Bound::Excluded(v)),
+        CmpOp::Le => sum(Bound::Unbounded, Bound::Included(v)),
+        CmpOp::Gt => sum(Bound::Excluded(v), Bound::Unbounded),
+        CmpOp::Ge => sum(Bound::Included(v), Bound::Unbounded),
     };
     (count as f64 / total).min(1.0)
 }
@@ -330,10 +347,16 @@ pub struct PathEntry {
 type PathKey = (Box<[Box<str>]>, bool);
 
 /// The path dictionary + statistics for one collection.
+///
+/// Cloning is copy-on-write at two levels: each path's entry and the
+/// dictionary sit behind `Arc`, and each exact value map is a
+/// [`CowMap`]. A commit that adds a document copies only the entries of
+/// the paths the document reaches and, inside them, only the map leaves
+/// its values land in.
 #[derive(Debug, Default, Clone)]
 pub struct CollectionStats {
-    entries: Vec<PathEntry>,
-    lookup: HashMap<PathKey, PathId>,
+    entries: Vec<Arc<PathEntry>>,
+    lookup: Arc<HashMap<PathKey, PathId>>,
     /// Total element+attribute nodes across documents.
     pub total_nodes: u64,
     /// Total document bytes (page accounting input).
@@ -394,16 +417,16 @@ impl CollectionStats {
             Some(&id) => id,
             None => {
                 let id = PathId(self.entries.len() as u32);
-                self.entries.push(PathEntry {
+                self.entries.push(Arc::new(PathEntry {
                     labels: labels.to_vec(),
                     is_attribute: is_attr,
                     stats: PathStats::default(),
-                });
-                self.lookup.insert(key, id);
+                }));
+                Arc::make_mut(&mut self.lookup).insert(key, id);
                 id
             }
         };
-        let stats = &mut self.entries[id.0 as usize].stats;
+        let stats = &mut Arc::make_mut(&mut self.entries[id.0 as usize]).stats;
         if add {
             stats.count += 1;
             stats.byte_len_sum += value.len() as u64;
@@ -429,8 +452,66 @@ impl CollectionStats {
     }
 
     /// All entries (for inspection/demo output).
-    pub fn entries(&self) -> &[PathEntry] {
+    pub fn entries(&self) -> &[Arc<PathEntry>] {
         &self.entries
+    }
+
+    /// Path entries, dictionary and value-map leaves of `self` that are
+    /// not the same allocation as `base`'s: what writing to a clone of
+    /// `base` has copied.
+    pub fn unshared_parts(&self, base: &CollectionStats) -> usize {
+        let empty = ValueDist::default();
+        let paths: usize = self
+            .entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| match base.entries.get(i) {
+                Some(b) if Arc::ptr_eq(e, b) => 0,
+                b => {
+                    1 + e
+                        .stats
+                        .values
+                        .unshared_leaves(b.map_or(&empty, |b| &b.stats.values))
+                }
+            })
+            .sum();
+        paths + usize::from(!Arc::ptr_eq(&self.lookup, &base.lookup))
+    }
+
+    /// Append a canonical rendering of every statistic: totals, then per
+    /// path its count, byte sum and exact value maps or histograms.
+    pub(crate) fn write_digest(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = writeln!(
+            out,
+            "stats nodes {} bytes {} docs {} paths {}",
+            self.total_nodes,
+            self.total_bytes,
+            self.doc_count,
+            self.entries.len()
+        );
+        for e in &self.entries {
+            let s = &e.stats;
+            let _ = writeln!(
+                out,
+                "path {:?} attr {} count {} bytes {}",
+                e.labels, e.is_attribute, s.count, s.byte_len_sum
+            );
+            match &s.values {
+                ValueDist::Exact { strings, numbers } => {
+                    for (k, c) in strings.iter() {
+                        let _ = writeln!(out, "  s {k:?} {c}");
+                    }
+                    for (k, c) in numbers.iter() {
+                        let _ = writeln!(out, "  n {:?} {c}", k.0);
+                    }
+                }
+                ValueDist::Collapsed { strings, numbers } => {
+                    let _ = writeln!(out, "  hs {strings:?}");
+                    let _ = writeln!(out, "  hn {numbers:?}");
+                }
+            }
+        }
     }
 
     /// Data pages occupied by the collection's documents.

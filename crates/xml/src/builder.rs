@@ -139,14 +139,7 @@ impl DocumentBuilder {
         if self.root == NodeId::NONE {
             return Err("document has no root element");
         }
-        let byte_size = Document::compute_byte_size(&self.nodes, &self.names);
-        Ok(Document {
-            nodes: self.nodes,
-            names: self.names,
-            root: self.root,
-            byte_size,
-            columns: Default::default(),
-        })
+        Ok(Document::from_arena(self.nodes, self.names, self.root))
     }
 }
 

@@ -343,15 +343,25 @@ impl Document {
         &self.columns().texts
     }
 
-    /// Compute the size estimate (called once by the parser/builder).
-    pub(crate) fn compute_byte_size(nodes: &[Node], names: &NameTable) -> usize {
-        let node_bytes = std::mem::size_of_val(nodes);
+    /// Seal a finished arena (called once by the parser/builder) and
+    /// compute its size estimate. The arena is shrunk to fit: the
+    /// document is immutable from here on and a database keeps it for
+    /// as long as it lives, growth slack included.
+    pub(crate) fn from_arena(mut nodes: Vec<Node>, names: NameTable, root: u32) -> Document {
+        nodes.shrink_to_fit();
+        let node_bytes = std::mem::size_of_val(nodes.as_slice());
         let value_bytes: usize = nodes
             .iter()
             .map(|n| n.value.as_deref().map_or(0, str::len))
             .sum();
         let name_bytes: usize = names.iter().map(|(_, n)| n.len() + 16).sum();
-        node_bytes + value_bytes + name_bytes
+        Document {
+            nodes,
+            names,
+            root,
+            byte_size: node_bytes + value_bytes + name_bytes,
+            columns: Default::default(),
+        }
     }
 }
 

@@ -20,14 +20,7 @@ pub(crate) fn parse_document(input: &str) -> Result<Document, ParseError> {
     if !p.eof() {
         return Err(p.err(ParseErrorKind::ContentOutsideRoot));
     }
-    let byte_size = Document::compute_byte_size(&p.nodes, &p.names);
-    Ok(Document {
-        nodes: p.nodes,
-        names: p.names,
-        root,
-        byte_size,
-        columns: Default::default(),
-    })
+    Ok(Document::from_arena(p.nodes, p.names, root))
 }
 
 struct Parser<'a> {

@@ -93,6 +93,11 @@ run_hard cargo test -q --offline -p xia-server --test tenants
 # per-tenant in-flight cap, then reconcile per-tenant counts exactly —
 # live and again after restart from each tenant's durable directory.
 run_hard ./target/release/xia-cli fuzz --tenants --seed 42 --budget 4
+# Copy-on-write sharing by name: an old snapshot held across 100
+# commits and index DDL keeps its exact statistics and postings, the
+# live state equals a from-scratch rebuild, and a one-document commit
+# copies a bounded number of parts at 200 and at 3200 documents.
+run_hard cargo test -q --offline -p xia --test commit_sharing
 # The wire golden by name: every command's response bytes (timings
 # masked, STATS as its key set) as the single-file daemon produced them.
 run_hard cargo test -q --offline -p xia-server --test wire_snapshot
@@ -224,6 +229,26 @@ check_read_path_locks() {
   fi
 }
 check_read_path_locks
+
+# The commit path has one ordered map: statistics value maps and index
+# postings are `CowMap`s, whose clone shares every leaf. A `BTreeMap`
+# there would make each group commit deep-copy it again (ROADMAP 9).
+# Unit-test modules may use one as a reference.
+check_cow_commit_path() {
+  echo "==> grep: no BTreeMap on the commit path (stats.rs, physical.rs)"
+  local bad=0 f
+  for f in crates/storage/src/stats.rs crates/index/src/physical.rs; do
+    if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" \
+        | grep -E 'BTreeMap'; then
+      bad=1
+    fi
+  done
+  if [ "$bad" -ne 0 ]; then
+    echo "FAILED: a BTreeMap is back on the commit path (see matches above)" >&2
+    failures=$((failures + 1))
+  fi
+}
+check_cow_commit_path
 
 run_if_installed fmt cargo fmt --check
 run_if_installed clippy cargo clippy --offline --all-targets -- -D warnings
