@@ -23,8 +23,8 @@
 use std::time::Instant;
 use xia::optimizer::{choose_mode, execute_mode, ExecMode, ExecStats};
 use xia::prelude::*;
-use xia::server::{json, Value};
-use xia_bench::{f, print_table};
+use xia::server::Value;
+use xia_bench::{f, render_table, truncate};
 
 /// Documents per collection at each sweep point.
 const SIZES: [usize; 3] = [2, 8, 32];
@@ -187,22 +187,6 @@ fn bench_query(coll: &Collection, model: &CostModel, shape: &'static str, text: 
     }
 }
 
-fn write_bench_json(run: Value) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_exec.json");
-    let mut runs: Vec<Value> = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| json::parse(&text).ok())
-        .and_then(|v| v.get("runs").and_then(Value::as_arr).map(<[Value]>::to_vec))
-        .unwrap_or_default();
-    runs.push(run);
-    let doc = Value::obj(vec![
-        ("benchmark", Value::str("exp_exec_batch")),
-        ("runs", Value::Arr(runs)),
-    ]);
-    std::fs::write(path, format!("{doc}\n")).expect("write BENCH_exec.json");
-    println!("\nwrote {path}");
-}
-
 fn main() {
     let model = CostModel::default();
     let mut all = Vec::new();
@@ -220,7 +204,7 @@ fn main() {
             vec![
                 r.docs.to_string(),
                 r.shape.to_string(),
-                xia_bench::truncate(&r.access, 34),
+                truncate(&r.access, 34),
                 r.rows.to_string(),
                 format!("{}ms", f(r.nav_ms)),
                 format!("{}ms", f(r.batch_ms)),
@@ -230,7 +214,7 @@ fn main() {
             ]
         })
         .collect();
-    print_table(
+    print!("{}", render_table(
         &format!(
             "T14 — batched vs navigational execution (deep section trees, depth {DEPTH}, fanout {FANOUT})"
         ),
@@ -239,7 +223,7 @@ fn main() {
             "auto",
         ],
         &rows,
-    );
+    ));
 
     let headline = all
         .iter()
@@ -268,7 +252,7 @@ fn main() {
         f(recovered.auto_vs_batched()),
     );
 
-    write_bench_json(Value::obj(vec![
+    let run = vec![
         ("depth", Value::num(DEPTH as f64)),
         ("fanout", Value::num(FANOUT as f64)),
         ("iters", Value::num(ITERS as f64)),
@@ -303,5 +287,8 @@ fn main() {
                     .collect(),
             ),
         ),
-    ]));
+    ];
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_exec.json");
+    xia_bench::append_run(path.as_ref(), "exp_exec_batch", run).unwrap_or_else(|e| panic!("{e}"));
+    println!("\nwrote {path}");
 }

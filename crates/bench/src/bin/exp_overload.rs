@@ -28,8 +28,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xia::prelude::*;
-use xia::server::{json, Value};
-use xia_bench::{print_table, standard_queries, xmark_collection};
+use xia::server::Value;
+use xia_bench::{nproc, percentile, render_table, standard_queries, xmark_collection};
 
 /// Workers (and admission slots): admitted == served immediately.
 const WORKERS: usize = 2;
@@ -62,14 +62,6 @@ fn start_daemon() -> Server {
         },
     )
     .expect("daemon starts")
-}
-
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted_us.len() as f64 - 1.0) * p).round() as usize;
-    sorted_us[idx.min(sorted_us.len() - 1)]
 }
 
 /// Capacity and unloaded tail at the server's designed operating
@@ -264,32 +256,8 @@ fn sweep(multiplier: f64, capacity_rps: f64) -> SweepPoint {
     }
 }
 
-fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Append this run to `BENCH_overload.json` at the repo root, keeping
-/// prior runs so the file is a trajectory, not a snapshot.
-fn write_bench_json(run: Value) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_overload.json");
-    let mut runs: Vec<Value> = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| json::parse(&text).ok())
-        .and_then(|v| v.get("runs").and_then(Value::as_arr).map(<[Value]>::to_vec))
-        .unwrap_or_default();
-    runs.push(run);
-    let doc = Value::obj(vec![
-        ("benchmark", Value::str("exp_overload")),
-        ("runs", Value::Arr(runs)),
-    ]);
-    std::fs::write(path, format!("{doc}\n")).expect("write BENCH_overload.json");
-    println!("\nwrote {path}");
-}
-
 fn main() {
-    let cores = cores();
+    let cores = nproc();
     let (capacity_rps, unloaded_p50_us, unloaded_p99_us) = measure_capacity();
     println!(
         "unloaded capacity: {capacity_rps:.0} req/s (p50 {unloaded_p50_us} µs, \
@@ -316,22 +284,25 @@ fn main() {
             ]
         })
         .collect();
-    print_table(
-        &format!(
-            "T15: offered-load sweep past saturation ({SWEEP_SECS}s/point, \
+    print!(
+        "{}",
+        render_table(
+            &format!(
+                "T15: offered-load sweep past saturation ({SWEEP_SECS}s/point, \
              {CLIENT_THREADS} paced clients, {CYCLE_QUERIES}-query cycles)"
-        ),
-        &[
-            "offered",
-            "target r/s",
-            "achieved r/s",
-            "goodput r/s",
-            "p50 µs",
-            "p99 µs",
-            "shed",
-            "rej cycles",
-        ],
-        &rows,
+            ),
+            &[
+                "offered",
+                "target r/s",
+                "achieved r/s",
+                "goodput r/s",
+                "p50 µs",
+                "p99 µs",
+                "shed",
+                "rej cycles",
+            ],
+            &rows,
+        )
     );
 
     let at4 = points.last().expect("4x point");
@@ -349,13 +320,7 @@ fn main() {
         println!("WARNING: p99 bound exceeded — admission control is not holding the tail.");
     }
 
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs() as f64)
-        .unwrap_or(0.0);
-    let run = Value::obj(vec![
-        ("unix_secs", Value::num(unix_secs)),
-        ("cores", Value::num(cores as f64)),
+    let run = vec![
         ("workers", Value::num(WORKERS as f64)),
         ("cycle_queries", Value::num(CYCLE_QUERIES as f64)),
         ("capacity_rps", Value::num(capacity_rps)),
@@ -390,6 +355,8 @@ fn main() {
                     .collect(),
             ),
         ),
-    ]);
-    write_bench_json(run);
+    ];
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_overload.json");
+    xia_bench::append_run(path.as_ref(), "exp_overload", run).unwrap_or_else(|e| panic!("{e}"));
+    println!("\nwrote {path}");
 }

@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 use xia::prelude::*;
-use xia_bench::{f, print_table, xmark_collection};
+use xia_bench::{f, render_table, xmark_collection};
 
 const WAL_TAIL: usize = 64;
 
@@ -93,16 +93,19 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    print_table(
-        "T10 — recovery time vs snapshot size (WAL tail = 64 records)",
-        &[
-            "docs",
-            "snapshot KiB",
-            "checkpoint ms",
-            "recover ms",
-            "recover+wal ms",
-            "us/wal record",
-        ],
-        &rows,
+    print!(
+        "{}",
+        render_table(
+            "T10 — recovery time vs snapshot size (WAL tail = 64 records)",
+            &[
+                "docs",
+                "snapshot KiB",
+                "checkpoint ms",
+                "recover ms",
+                "recover+wal ms",
+                "us/wal record",
+            ],
+            &rows,
+        )
     );
 }

@@ -18,9 +18,9 @@
 //!   snapshot and must not starve readers.
 //!
 //! Results append to `BENCH_serve.json` at the repo root (machine
-//! readable, one entry per run) so the perf trajectory survives across
-//! PRs. The pre-snapshot RwLock baseline measured on this box is
-//! embedded for comparison.
+//! readable, one entry per run) so the perf trajectory survives; the
+//! file's `baseline_rwlock` field keeps the pre-snapshot RwLock
+//! baseline it is compared against.
 //!
 //! ```text
 //! cargo run -p xia-bench --bin exp_serve --release
@@ -29,8 +29,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 use xia::prelude::*;
-use xia::server::{json, Value};
-use xia_bench::{print_table, standard_queries, xmark_collection};
+use xia::server::Value;
+use xia_bench::{nproc, percentile, render_table, standard_queries, xmark_collection};
 
 /// Requests per client in the QUERY sweep. High enough that connect and
 /// warmup costs wash out of the 1-client row.
@@ -39,11 +39,9 @@ const QUERY_ROUNDS: usize = 300;
 const INSERT_ROUNDS: usize = 120;
 const CLIENT_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Pre-change baseline on this box (RwLock<Database> read path,
-/// 40-round sweep): kept so the JSON records the trajectory's origin.
-const BASELINE_1C_REQ_S: f64 = 1058.0;
+/// Server p50 of the pre-snapshot RwLock<Database> read path, 1 client
+/// (`baseline_rwlock` in `BENCH_serve.json`).
 const BASELINE_1C_P50_US: f64 = 256.0;
-const BASELINE_8C_REQ_S: f64 = 1498.0;
 
 fn start_daemon(threads: usize, durability: Option<DurabilityConfig>) -> Server {
     let mut db = Database::new();
@@ -59,14 +57,6 @@ fn start_daemon(threads: usize, durability: Option<DurabilityConfig>) -> Server 
         },
     )
     .expect("daemon starts")
-}
-
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted_us.len() as f64 - 1.0) * p).round() as usize;
-    sorted_us[idx.min(sorted_us.len() - 1)]
 }
 
 struct SweepPoint {
@@ -247,44 +237,8 @@ fn advise_under_load() -> (f64, u64) {
     (cycle_secs * 1e3, bg_requests)
 }
 
-fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Append this run to `BENCH_serve.json` at the repo root, preserving
-/// prior runs so the file is a trajectory, not a snapshot.
-fn write_bench_json(run: Value) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    let mut runs: Vec<Value> = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| json::parse(&text).ok())
-        .and_then(|v| v.get("runs").and_then(Value::as_arr).map(<[Value]>::to_vec))
-        .unwrap_or_default();
-    runs.push(run);
-    let doc = Value::obj(vec![
-        ("benchmark", Value::str("exp_serve")),
-        (
-            "baseline_rwlock",
-            Value::obj(vec![
-                (
-                    "note",
-                    Value::str("pre-snapshot RwLock read path, same box"),
-                ),
-                ("query_1c_req_per_s", Value::num(BASELINE_1C_REQ_S)),
-                ("query_1c_server_p50_us", Value::num(BASELINE_1C_P50_US)),
-                ("query_8c_req_per_s", Value::num(BASELINE_8C_REQ_S)),
-            ]),
-        ),
-        ("runs", Value::Arr(runs)),
-    ]);
-    std::fs::write(path, format!("{doc}\n")).expect("write BENCH_serve.json");
-    println!("\nwrote {path}");
-}
-
 fn main() {
-    let cores = cores();
+    let cores = nproc();
 
     // --- QUERY sweep. -----------------------------------------------------
     let points: Vec<SweepPoint> = CLIENT_COUNTS.iter().map(|&c| query_sweep(c)).collect();
@@ -301,17 +255,20 @@ fn main() {
             ]
         })
         .collect();
-    print_table(
-        &format!("T12: QUERY sweep, snapshot read path ({cores} core(s), XMark-80)"),
-        &[
-            "clients",
-            "requests",
-            "req/s",
-            "p50 µs",
-            "p99 µs",
-            "srv p50 µs",
-        ],
-        &rows,
+    print!(
+        "{}",
+        render_table(
+            &format!("T12: QUERY sweep, snapshot read path ({cores} core(s), XMark-80)"),
+            &[
+                "clients",
+                "requests",
+                "req/s",
+                "p50 µs",
+                "p99 µs",
+                "srv p50 µs",
+            ],
+            &rows,
+        )
     );
     let one = &points[0];
     let eight = &points[points.len() - 1];
@@ -338,17 +295,20 @@ fn main() {
             ]
         })
         .collect();
-    print_table(
-        "T12: INSERT burst, group commit (durability on, 1 fsync per batch)",
-        &[
-            "writers",
-            "req/s",
-            "p50 µs",
-            "p99 µs",
-            "batches",
-            "ops/batch",
-        ],
-        &rows,
+    print!(
+        "{}",
+        render_table(
+            "T12: INSERT burst, group commit (durability on, 1 fsync per batch)",
+            &[
+                "writers",
+                "req/s",
+                "p50 µs",
+                "p99 µs",
+                "batches",
+                "ops/batch",
+            ],
+            &rows,
+        )
     );
     println!(
         "8-writer / 1-writer insert throughput: {:.2}× (fsync amortized across {:.1}-op batches); \
@@ -366,13 +326,7 @@ fn main() {
     );
 
     // --- Machine-readable trajectory. --------------------------------------
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs() as f64)
-        .unwrap_or(0.0);
-    let run = Value::obj(vec![
-        ("unix_secs", Value::num(unix_secs)),
-        ("cores", Value::num(cores as f64)),
+    let run = vec![
         ("rounds_per_client", Value::num(QUERY_ROUNDS as f64)),
         (
             "query_sweep",
@@ -418,6 +372,8 @@ fn main() {
         ),
         ("advise_cycle_ms", Value::num(cycle_ms)),
         ("advise_bg_requests", Value::num(bg_requests as f64)),
-    ]);
-    write_bench_json(run);
+    ];
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
+    xia_bench::append_run(path.as_ref(), "exp_serve", run).unwrap_or_else(|e| panic!("{e}"));
+    println!("\nwrote {path}");
 }

@@ -28,8 +28,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use xia::advisor::{allocate, Allocation, TenantFrontier};
 use xia::prelude::*;
-use xia::server::{json, Value};
-use xia_bench::{f, print_table};
+use xia::server::Value;
+use xia_bench::{f, render_table};
 
 const TENANTS: usize = 32;
 const COLLECTION: &str = "docs";
@@ -100,22 +100,6 @@ struct TenantRow {
     scarce_pages: u64,
     scarce_benefit: f64,
     starved: bool,
-}
-
-fn write_bench_json(run: Value) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tenants.json");
-    let mut runs: Vec<Value> = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| json::parse(&text).ok())
-        .and_then(|v| v.get("runs").and_then(Value::as_arr).map(<[Value]>::to_vec))
-        .unwrap_or_default();
-    runs.push(run);
-    let doc = Value::obj(vec![
-        ("benchmark", Value::str("exp_tenants")),
-        ("runs", Value::Arr(runs)),
-    ]);
-    std::fs::write(path, format!("{doc}\n")).expect("write BENCH_tenants.json");
-    println!("\nwrote {path}");
 }
 
 fn main() {
@@ -319,12 +303,15 @@ fn main() {
             ]
         })
         .collect();
-    print_table(
-        &format!("T16 — 32-tenant budget allocation at 25% of fleet demand ({demand} pages total)"),
-        &[
-            "tenant", "weight", "docs", "frontier", "demand", "granted", "benefit", "starved",
-        ],
-        &rows,
+    print!(
+        "{}",
+        render_table(
+            &format!(
+                "T16 — 32-tenant budget allocation at 25% of fleet demand ({demand} pages total)"
+            ),
+            &["tenant", "weight", "docs", "frontier", "demand", "granted", "benefit", "starved",],
+            &rows,
+        )
     );
 
     for (frac, alloc) in &sweep {
@@ -342,12 +329,7 @@ fn main() {
          {advise_ms:.0} ms for all {TENANTS} advisor cycles"
     );
 
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs() as f64)
-        .unwrap_or(0.0);
-    write_bench_json(Value::obj(vec![
-        ("unix_secs", Value::num(unix_secs)),
+    let run = vec![
         ("tenants", Value::num(TENANTS as f64)),
         ("inserts", Value::num(inserts as f64)),
         ("queries", Value::num(queries as f64)),
@@ -400,5 +382,8 @@ fn main() {
                     .collect(),
             ),
         ),
-    ]));
+    ];
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tenants.json");
+    xia_bench::append_run(path.as_ref(), "exp_tenants", run).unwrap_or_else(|e| panic!("{e}"));
+    println!("\nwrote {path}");
 }

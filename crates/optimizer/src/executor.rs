@@ -45,7 +45,7 @@ pub struct ExecStats {
     pub results: usize,
     /// Simulated cold-cache page reads: B-tree descents + leaf pages
     /// touched + document pages fetched (4 KiB pages, same accounting as
-    /// the cost model's I/O estimates — see `exp_cost_validation`).
+    /// the cost model's I/O estimates — see T8 in `EXPERIMENTS.md`).
     pub pages_read: usize,
 }
 

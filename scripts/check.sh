@@ -40,6 +40,10 @@ run_hard cargo test -q --offline
 # costs, per-query costs, used indexes) on the pinned workloads, as it
 # was when the offline greedy was still a second implementation.
 run_hard cargo test -q --offline -p xia --test strategy_snapshot
+# The reproduction golden by name: every demo figure and experiment
+# table (F2–F5, T1–T8) line for line, wall-clock cells masked, as the
+# twelve per-figure binaries printed them before they became `repro`.
+run_hard cargo test -q --offline -p xia-bench --test repro_snapshot
 # The crash matrix by name: the durability invariant (recovery after any
 # injected fault yields old or new state, never corruption) must never
 # silently drop out of the suite.
