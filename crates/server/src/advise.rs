@@ -22,22 +22,22 @@
 //! ## Incremental re-advise
 //!
 //! Cycles are incremental: per collection the server remembers the
-//! monitor change stamp, the physical index shapes and the previous
-//! recommendation ([`CollectionMemory`]). When a cycle finds no new
-//! observations, no evictions and an unchanged catalog, it reuses the
-//! previous result outright — sound because idle entries all decay by
-//! the *same* factor (each multiplies by `0.5^(Δt/half_life)`), so
-//! relative weights, the search's argmin and `improvement_pct` are all
-//! invariant under pure decay. When something did change, the search
+//! monitor change stamp, the physical index shapes, the data version and
+//! the previous recommendation ([`CollectionMemory`]). When a cycle
+//! finds no new observations, no evictions, an unchanged catalog and
+//! unchanged data, it reuses the previous result outright — sound
+//! because idle entries all decay by the *same* factor (each multiplies
+//! by `0.5^(Δt/half_life)`), so relative weights, the search's argmin
+//! and `improvement_pct` are all invariant under pure decay. When something did change, the search
 //! warm-starts from the previous configuration instead of from
 //! scratch, and query texts are compiled once and cached across
-//! cycles.
+//! cycles (the cache keeps only the texts the last computed cycle saw).
 
 use crate::committer::{submit_and_wait, WriteCmd, WriteOutcome};
 use crate::json::Value;
 use crate::server::ServerState;
 use crate::tenant::TenantState;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -60,13 +60,28 @@ pub(crate) struct CollectionMemory {
     evictions: u64,
     /// Physical index shapes at the end of the last cycle.
     shapes: Vec<(String, DataType)>,
+    /// The collection's data when the last cycle started. Every estimate
+    /// is priced on statistics an INSERT changes, so a write-only
+    /// interval must defeat the reuse as well.
+    data: DataVersion,
     /// Previous recommendation, as shapes — the warm start.
     prev_config: Vec<(String, DataType)>,
     /// Compile cache: query text → normalized form. Monitor entries are
-    /// stable across cycles, so steady state recompiles nothing.
+    /// stable across cycles, so steady state recompiles nothing. Pruned
+    /// to the last computed cycle's texts, so it is bounded by the
+    /// monitor's capacity however many texts the monitor evicts.
     compiled: HashMap<String, NormalizedQuery>,
     /// The last computed cycle, reused verbatim on no-delta cycles.
     cached: Option<CollectionCycle>,
+}
+
+/// A collection's data version: its document count and modelled bytes
+/// from `CollectionStats`. The wire has no DELETE, so every write moves
+/// the count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct DataVersion {
+    docs: u64,
+    bytes: u64,
 }
 
 /// Per-collection monitor state captured (under the monitor lock) when
@@ -353,27 +368,40 @@ fn advise_collection(
 ) -> Option<CollectionCycle> {
     let start = Instant::now();
 
-    // Physical shapes first: they are part of the reuse fingerprint (a
-    // manual CREATE/DROP INDEX between cycles must defeat the reuse).
-    let existing: Vec<IndexDefinition> = {
+    // Physical shapes and the data version first: they are part of the
+    // reuse fingerprint (a manual CREATE/DROP INDEX or an INSERT between
+    // cycles must defeat the reuse).
+    let (existing, data): (Vec<IndexDefinition>, DataVersion) = {
         let db = tenant.read_db();
         let coll = db.collection(name)?;
-        coll.indexes()
+        let stats = coll.stats();
+        let existing = coll
+            .indexes()
             .iter()
             .map(|ix| ix.definition().clone())
-            .collect()
+            .collect();
+        let data = DataVersion {
+            docs: stats.doc_count,
+            bytes: stats.total_bytes,
+        };
+        (existing, data)
     };
     let shapes = physical_shapes(&existing);
 
-    // Incremental fast path: nothing observed, nothing evicted and the
-    // catalog untouched since the last cycle → the previous result still
-    // holds. Pure decay scales every entry's weight by the same factor,
-    // so the search's decisions and improvement ratio are unchanged.
+    // Incremental fast path: nothing observed, nothing evicted, and the
+    // catalog and data untouched since the last cycle → the previous
+    // result still holds. Pure decay scales every entry's weight by the
+    // same factor, so the search's decisions and improvement ratio are
+    // unchanged.
     let (warm, workload) = {
         let mut memory = tenant.lock_advisor_memory();
         let mem = memory.entry(name.to_string()).or_default();
         if let Some(cached) = &mem.cached {
-            if delta.changed == 0 && mem.evictions == evictions && mem.shapes == shapes {
+            if delta.changed == 0
+                && mem.evictions == evictions
+                && mem.shapes == shapes
+                && mem.data == data
+            {
                 let mut cycle = cached.clone();
                 cycle.reused = true;
                 cycle.delta_statements = 0;
@@ -522,6 +550,9 @@ fn advise_collection(
         mem.monitor_version = delta.version;
         mem.evictions = evictions;
         mem.shapes = shapes_after;
+        mem.data = data;
+        let seen: HashSet<&str> = sub.entries.iter().map(|e| e.text.as_str()).collect();
+        mem.compiled.retain(|text, _| seen.contains(text.as_str()));
         mem.prev_config = rec
             .indexes
             .iter()
@@ -531,4 +562,56 @@ fn advise_collection(
     }
 
     Some(cycle)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Server, ServerConfig};
+    use std::sync::Arc;
+    use xia_storage::{Collection, Database};
+    use xia_workload::{FakeClock, MonitorConfig, XMarkConfig, XMarkGen};
+
+    #[test]
+    fn the_compile_cache_holds_no_more_than_the_monitor() {
+        const CAPACITY: usize = 6;
+        let mut coll = Collection::new("auctions");
+        XMarkGen::new(XMarkConfig {
+            docs: 8,
+            ..Default::default()
+        })
+        .populate(&mut coll);
+        let mut db = Database::new();
+        assert!(db.add_collection(coll));
+        let server = Server::start(
+            db,
+            ServerConfig {
+                threads: 1,
+                monitor: MonitorConfig {
+                    half_life_secs: 300.0,
+                    capacity: CAPACITY,
+                },
+                clock: Arc::new(FakeClock::new()),
+                ..Default::default()
+            },
+        )
+        .expect("daemon starts");
+        let tenant = server.state().default_tenant().clone();
+        // Each cycle sees a fresh window of texts, so the monitor evicts
+        // every text of the cycle before.
+        for cycle in 0..5 {
+            {
+                let mut monitor = tenant.lock_monitor();
+                for i in 0..CAPACITY {
+                    let text = format!("//item[price > {}]/name", cycle * CAPACITY + i);
+                    monitor.observe_text(&text, "auctions").unwrap();
+                }
+            }
+            let report = server.force_cycle();
+            assert!(!report.collections[0].reused, "cycle {cycle} computed");
+            let cached = tenant.lock_advisor_memory()["auctions"].compiled.len();
+            assert!(cached <= CAPACITY, "cycle {cycle}: {cached} cached texts");
+        }
+        assert!(tenant.lock_monitor().evictions() >= 4 * CAPACITY as u64);
+        server.stop();
+    }
 }

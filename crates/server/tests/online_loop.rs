@@ -297,3 +297,97 @@ fn malformed_requests_get_structured_errors() {
     drop(client);
     server.stop();
 }
+
+/// The recommended DDL and `improvement_pct` of one ADVISE cycle over
+/// `auctions`, and whether the cycle reused the previous one.
+fn advise(client: &mut Client) -> (Vec<String>, f64, bool) {
+    let resp = client.command("advise").expect("advise");
+    ok(&resp);
+    let colls = resp
+        .get("report")
+        .and_then(|r| r.get("collections"))
+        .and_then(Value::as_arr)
+        .expect("collections");
+    let cycle = &colls[0];
+    let ddl = cycle
+        .get("recommended")
+        .and_then(Value::as_arr)
+        .expect("recommended array")
+        .iter()
+        .map(|v| v.as_str().expect("ddl string").to_string())
+        .collect();
+    (
+        ddl,
+        cycle.get_f64("improvement_pct").expect("improvement_pct"),
+        cycle.get_bool("reused").expect("reused"),
+    )
+}
+
+#[test]
+fn advice_after_a_write_only_interval_matches_a_fresh_daemon() {
+    // Regression: the reuse fast path had no data term, so an ADVISE
+    // after INSERTs alone replayed the advice for the old collection.
+    // One inserted document already moves the advice.
+    const INSERTED: usize = 1;
+    let inserted: Vec<String> = XMarkGen::new(XMarkConfig {
+        docs: INSERTED,
+        seed: 2,
+        ..Default::default()
+    })
+    .generate()
+    .iter()
+    .map(xia_xml::serialize)
+    .collect();
+
+    let (server, _clock) = start_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for q in query_mix() {
+        ok(&client.query(q, None).expect("query"));
+    }
+    let before = advise(&mut client);
+    for xml in &inserted {
+        ok(&client
+            .call(&Value::obj(vec![
+                ("cmd", Value::str("insert")),
+                ("collection", Value::str("auctions")),
+                ("xml", Value::str(xml)),
+            ]))
+            .expect("insert"));
+    }
+    let after = advise(&mut client);
+    drop(client);
+    server.stop();
+
+    // A fresh daemon over the same documents, with the same queries.
+    let mut coll = xmark(60);
+    for xml in &inserted {
+        coll.insert(xia_xml::Document::parse(xml).expect("body parses"));
+    }
+    let mut db = Database::new();
+    assert!(db.add_collection(coll));
+    let fresh_server = Server::start(
+        db,
+        ServerConfig {
+            threads: 2,
+            budget_bytes: BUDGET_BYTES,
+            clock: Arc::new(FakeClock::new()),
+            ..Default::default()
+        },
+    )
+    .expect("fresh daemon starts");
+    let mut client = Client::connect(fresh_server.addr()).expect("connect");
+    for q in query_mix() {
+        ok(&client.query(q, None).expect("query"));
+    }
+    let fresh = advise(&mut client);
+    drop(client);
+    fresh_server.stop();
+
+    assert!(!after.2, "the inserts must defeat the reuse");
+    assert_ne!(
+        (&before.0, before.1),
+        (&after.0, after.1),
+        "the advice must move with the data"
+    );
+    assert_eq!((after.0, after.1), (fresh.0, fresh.1));
+}

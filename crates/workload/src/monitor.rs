@@ -178,6 +178,10 @@ pub struct WorkloadMonitor {
     /// Modification stamp per entry, parallel to `entries` (kept out of
     /// [`MonitorEntry`] so the persisted snapshot format is untouched).
     versions: Vec<u64>,
+    /// Dedup and template keys per entry, parallel to `entries`: derived
+    /// once from the compiled query on insertion, so an eviction is
+    /// arithmetic over stored keys and never recompiles a text.
+    keys: Vec<EntryKeys>,
     by_key: HashMap<String, usize>,
     observed: u64,
     evictions: u64,
@@ -214,6 +218,27 @@ fn normalized_key(q: &NormalizedQuery) -> String {
     key
 }
 
+/// How a full monitor makes room for a new entry.
+type Evict = fn(&mut WorkloadMonitor, f64);
+
+/// The two keys an entry is found and folded by.
+#[derive(Debug, Clone)]
+struct EntryKeys {
+    /// [`normalized_key`]: the `by_key` index's key.
+    normalized: String,
+    /// [`template_key`]: the fold target of an eviction shares it.
+    template: String,
+}
+
+impl EntryKeys {
+    fn of(q: &NormalizedQuery) -> EntryKeys {
+        EntryKeys {
+            normalized: normalized_key(q),
+            template: template_key(q),
+        }
+    }
+}
+
 impl WorkloadMonitor {
     pub fn new(cfg: MonitorConfig, clock: Arc<dyn Clock>) -> WorkloadMonitor {
         WorkloadMonitor {
@@ -221,6 +246,7 @@ impl WorkloadMonitor {
             clock,
             entries: Vec::new(),
             versions: Vec::new(),
+            keys: Vec::new(),
             by_key: HashMap::new(),
             observed: 0,
             evictions: 0,
@@ -299,6 +325,12 @@ impl WorkloadMonitor {
 
     /// Record `weight` executions of a compiled query.
     pub fn observe_weighted(&mut self, query: &NormalizedQuery, weight: f64) {
+        self.record(query, weight, Self::evict_coldest);
+    }
+
+    /// The body of [`observe_weighted`](Self::observe_weighted), with the
+    /// eviction passed in so tests can run it against a reference one.
+    fn record(&mut self, query: &NormalizedQuery, weight: f64, evict: Evict) {
         let now = self.clock.now();
         self.observed += 1;
         let key = normalized_key(query);
@@ -312,9 +344,13 @@ impl WorkloadMonitor {
             return;
         }
         if self.entries.len() >= self.cfg.capacity {
-            self.evict_coldest(now);
+            evict(self, now);
         }
-        self.by_key.insert(key, self.entries.len());
+        self.by_key.insert(key.clone(), self.entries.len());
+        self.keys.push(EntryKeys {
+            normalized: key,
+            template: template_key(query),
+        });
         self.entries.push(MonitorEntry {
             text: query.text.clone(),
             collection: query.collection.clone(),
@@ -333,9 +369,10 @@ impl WorkloadMonitor {
         Ok(())
     }
 
-    fn evict_coldest(&mut self, now: f64) {
-        let Some(coldest) = self
-            .entries
+    /// The coldest entry: lowest weight decayed to `now`, ties to the
+    /// lowest index.
+    fn coldest(&self, now: f64) -> Option<usize> {
+        self.entries
             .iter()
             .enumerate()
             .min_by(|(ia, a), (ib, b)| {
@@ -344,10 +381,69 @@ impl WorkloadMonitor {
                 wa.total_cmp(&wb).then(ia.cmp(ib))
             })
             .map(|(i, _)| i)
-        else {
+    }
+
+    /// Evict the coldest entry and fold its decayed weight into the
+    /// first strictly hottest survivor of its template, if any. The
+    /// scan is O(capacity) over stored keys and weights: nothing is
+    /// recompiled and `by_key` is shifted in place, not rebuilt.
+    fn evict_coldest(&mut self, now: f64) {
+        let Some(coldest) = self.coldest(now) else {
             return;
         };
         let evicted = self.entries.remove(coldest);
+        let evicted_keys = self.keys.remove(coldest);
+        self.versions.remove(coldest);
+        self.evictions += 1;
+        self.by_key.remove(&evicted_keys.normalized);
+        for i in self.by_key.values_mut() {
+            if *i > coldest {
+                *i -= 1;
+            }
+        }
+        let half_life = self.cfg.half_life_secs;
+        let mut fold_into: Option<usize> = None;
+        for (i, k) in self.keys.iter().enumerate() {
+            if k.template == evicted_keys.template {
+                let hotter = fold_into.is_none_or(|t| {
+                    self.entries[i].weight_at(now, half_life)
+                        > self.entries[t].weight_at(now, half_life)
+                });
+                if hotter {
+                    fold_into = Some(i);
+                }
+            }
+        }
+        self.fold(fold_into, evicted.weight_at(now, half_life), now);
+    }
+
+    /// Add an evicted entry's decayed weight to survivor `into`, or count
+    /// it as dropped when its template has no survivor.
+    fn fold(&mut self, into: Option<usize>, freed: f64, now: f64) {
+        match into {
+            Some(i) => {
+                let e = &mut self.entries[i];
+                e.weight = e.weight_at(now, self.cfg.half_life_secs) + freed;
+                e.last_update = now;
+                self.version += 1;
+                self.versions[i] = self.version;
+                self.folds += 1;
+            }
+            None => self.dropped_weight += freed,
+        }
+    }
+
+    /// The eviction as it was before keys were stored: recompile every
+    /// surviving text to rebuild `by_key` and to find the fold target.
+    /// The differential test holds [`evict_coldest`](Self::evict_coldest)
+    /// to it bit for bit.
+    #[cfg(test)]
+    fn evict_coldest_recompiling(&mut self, now: f64) {
+        let Some(coldest) = self.coldest(now) else {
+            return;
+        };
+        let evicted = self.entries.remove(coldest);
+        self.keys.remove(coldest);
         self.versions.remove(coldest);
         self.evictions += 1;
         let half_life = self.cfg.half_life_secs;
@@ -355,15 +451,9 @@ impl WorkloadMonitor {
         let evicted_template = compile(&evicted.text, &evicted.collection)
             .ok()
             .map(|q| template_key(&q));
-        // Indices after the removed slot shifted down by one; while
-        // rebuilding, find the hottest survivor sharing the evicted
-        // entry's template so its frequency mass is not silently lost.
         self.by_key.clear();
         let mut fold_into: Option<usize> = None;
         for (i, e) in self.entries.iter().enumerate() {
-            // Recompute keys from stored text: recompilation is the one
-            // honest source; entries were compiled once already, so this
-            // cannot fail.
             if let Ok(q) = compile(&e.text, &e.collection) {
                 self.by_key.insert(normalized_key(&q), i);
                 if evicted_template.as_deref() == Some(template_key(&q).as_str()) {
@@ -376,17 +466,7 @@ impl WorkloadMonitor {
                 }
             }
         }
-        match fold_into {
-            Some(i) => {
-                let e = &mut self.entries[i];
-                e.weight = e.weight_at(now, half_life) + freed;
-                e.last_update = now;
-                self.version += 1;
-                self.versions[i] = self.version;
-                self.folds += 1;
-            }
-            None => self.dropped_weight += freed,
-        }
+        self.fold(fold_into, freed, now);
     }
 
     /// Decay every entry to "now" and return a point-in-time copy.
@@ -415,16 +495,20 @@ impl WorkloadMonitor {
         let now = self.clock.now();
         self.entries.clear();
         self.versions.clear();
+        self.keys.clear();
         self.by_key.clear();
         for e in &snapshot.entries {
             let Ok(q) = compile(&e.text, &e.collection) else {
                 continue;
             };
-            let key = normalized_key(&q);
-            if self.by_key.contains_key(&key) || self.entries.len() >= self.cfg.capacity {
+            let keys = EntryKeys::of(&q);
+            if self.by_key.contains_key(&keys.normalized) || self.entries.len() >= self.cfg.capacity
+            {
                 continue;
             }
-            self.by_key.insert(key, self.entries.len());
+            self.by_key
+                .insert(keys.normalized.clone(), self.entries.len());
+            self.keys.push(keys);
             self.entries.push(MonitorEntry {
                 text: e.text.clone(),
                 collection: e.collection.clone(),
@@ -441,6 +525,8 @@ impl WorkloadMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn monitor(half_life: f64, capacity: usize) -> (WorkloadMonitor, Arc<FakeClock>) {
         let clock = Arc::new(FakeClock::new());
@@ -661,5 +747,184 @@ mod tests {
         assert_eq!(snap.for_collection("x").len(), 2);
         assert_eq!(snap.for_collection("y").len(), 1);
         assert!(snap.for_collection("z").is_empty());
+    }
+
+    /// Texts over a few templates in two collections: literal variants
+    /// (one template key, distinct normalized keys), a whitespace and an
+    /// XQuery spelling that dedup with an XPath form, and singletons.
+    fn template_rich_texts() -> Vec<NormalizedQuery> {
+        let mut texts = Vec::new();
+        for coll in ["x", "y"] {
+            for n in 0..6 {
+                texts.push((format!("//item[price > {n}]/name"), coll));
+                texts.push((format!("//person[profile/age > {}]/name", 20 + n), coll));
+                texts.push((format!("//closed_auction[price >= {}]/date", n * 100), coll));
+            }
+            texts.push(("//item[ price > 3 ]/name".to_string(), coll));
+            texts.push((
+                format!(
+                    r#"for $i in collection("{coll}")//item where $i/price > 2 return $i/name"#
+                ),
+                coll,
+            ));
+            for region in ["africa", "asia", "europe"] {
+                texts.push((format!("/site/regions/{region}/item/quantity"), coll));
+            }
+            texts.push((r#"//item[@featured = "yes"]/name"#.to_string(), coll));
+        }
+        texts
+            .iter()
+            .map(|(t, c)| compile(t, c).expect("test text compiles"))
+            .collect()
+    }
+
+    /// Everything observable about a monitor, and its key index, must
+    /// agree bit for bit.
+    fn assert_same(a: &WorkloadMonitor, b: &WorkloadMonitor, ctx: &str) {
+        let (sa, sb) = (a.snapshot(), b.snapshot());
+        assert_eq!(sa.taken_at.to_bits(), sb.taken_at.to_bits(), "{ctx}");
+        assert_eq!(sa.len(), sb.len(), "{ctx}");
+        for (x, y) in sa.entries.iter().zip(&sb.entries) {
+            let bits = |e: &MonitorEntry| {
+                (
+                    e.text.clone(),
+                    e.collection.clone(),
+                    e.weight.to_bits(),
+                    e.last_update.to_bits(),
+                    e.hits,
+                )
+            };
+            assert_eq!(bits(x), bits(y), "{ctx}");
+        }
+        assert_eq!(a.evictions(), b.evictions(), "{ctx}");
+        assert_eq!(a.folds(), b.folds(), "{ctx}");
+        assert_eq!(
+            a.dropped_weight().to_bits(),
+            b.dropped_weight().to_bits(),
+            "{ctx}"
+        );
+        assert_eq!(a.version(), b.version(), "{ctx}");
+        assert_eq!(a.observed(), b.observed(), "{ctx}");
+        assert_eq!(a.by_key, b.by_key, "{ctx}");
+        for coll in ["x", "y", "z"] {
+            assert_eq!(
+                a.collection_version(coll),
+                b.collection_version(coll),
+                "{ctx}"
+            );
+            for since in [0, a.version() / 2, a.version().saturating_sub(1)] {
+                assert_eq!(
+                    a.changed_since(coll, since),
+                    b.changed_since(coll, since),
+                    "{ctx}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stored_key_eviction_matches_the_recompiling_reference() {
+        let queries = template_rich_texts();
+        let (mut evictions, mut folds, mut drops) = (0, 0, 0);
+        for seed in 0..16u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let cfg = MonitorConfig {
+                half_life_secs: 10.0,
+                capacity: rng.gen_range(4..33usize),
+            };
+            let clock = Arc::new(FakeClock::new());
+            let mut fast = WorkloadMonitor::new(cfg.clone(), clock.clone());
+            let mut reference = WorkloadMonitor::new(cfg.clone(), clock.clone());
+            for step in 0..300 {
+                let op = rng.gen_range(0..10u32);
+                match op {
+                    0..=5 => {
+                        let q = &queries[rng.gen_range(0..queries.len())];
+                        fast.observe(q);
+                        reference.record(q, 1.0, WorkloadMonitor::evict_coldest_recompiling);
+                    }
+                    6 => {
+                        let q = &queries[rng.gen_range(0..queries.len())];
+                        let w = [0.25, 0.5, 1.0, 2.0][rng.gen_range(0..4usize)];
+                        fast.observe_weighted(q, w);
+                        reference.record(q, w, WorkloadMonitor::evict_coldest_recompiling);
+                    }
+                    // Zero advances leave equal weights tied; the rest
+                    // decay by fractions and multiples of a half-life.
+                    7 | 8 => {
+                        clock.advance([0.0, 0.0, 0.5, 1.0, 10.0, 37.5][rng.gen_range(0..6usize)])
+                    }
+                    _ => {
+                        let snap = fast.snapshot();
+                        fast.restore(&snap);
+                        let snap = reference.snapshot();
+                        reference.restore(&snap);
+                    }
+                }
+                assert_same(
+                    &fast,
+                    &reference,
+                    &format!("seed {seed} step {step} op {op}"),
+                );
+                for (e, k) in fast.entries.iter().zip(&fast.keys) {
+                    let q = compile(&e.text, &e.collection).unwrap();
+                    assert_eq!(k.normalized, normalized_key(&q));
+                    assert_eq!(k.template, template_key(&q));
+                }
+            }
+            evictions += fast.evictions();
+            folds += fast.folds();
+            drops += u64::from(fast.dropped_weight() > 0.0);
+        }
+        assert!(
+            evictions > 0 && folds > 0 && drops > 0,
+            "every eviction path ran"
+        );
+    }
+
+    /// The record of what an eviction costs at the default capacity,
+    /// against the recompiling reference:
+    /// `cargo test --release -p xia-workload --lib eviction_cost_probe -- --ignored --nocapture`
+    #[test]
+    #[ignore = "timing probe; run by hand in release"]
+    fn eviction_cost_probe() {
+        const CAPACITY: usize = 1024;
+        const EVICTING: usize = 64;
+        let queries: Vec<NormalizedQuery> = (0..CAPACITY + EVICTING)
+            .map(|i| {
+                let text = match i % 4 {
+                    0 => format!("//item[price > {i}]/name"),
+                    1 => format!("//person[profile/age > {i}]/name"),
+                    2 => format!("//closed_auction[price >= {i}]/date"),
+                    _ => format!(r#"//item[@id = "i{i}"]/quantity"#),
+                };
+                compile(&text, "c").unwrap()
+            })
+            .collect();
+        let evictions: [(&str, Evict); 2] = [
+            ("stored keys", WorkloadMonitor::evict_coldest),
+            ("recompiling", WorkloadMonitor::evict_coldest_recompiling),
+        ];
+        for (label, evict) in evictions {
+            let (mut m, clock) = monitor(300.0, CAPACITY);
+            for q in &queries[..CAPACITY] {
+                m.record(q, 1.0, evict);
+                clock.advance(0.001);
+            }
+            let started = Instant::now();
+            for q in &queries[..CAPACITY] {
+                m.record(q, 1.0, evict);
+            }
+            let hit_us = started.elapsed().as_secs_f64() * 1e6 / CAPACITY as f64;
+            let started = Instant::now();
+            for q in &queries[CAPACITY..] {
+                m.record(q, 1.0, evict);
+            }
+            let evicting_us = started.elapsed().as_secs_f64() * 1e6 / EVICTING as f64;
+            assert_eq!(m.evictions(), EVICTING as u64);
+            println!(
+                "{label}: hit {hit_us:.2} µs, evicting observe {evicting_us:.1} µs at capacity {CAPACITY}"
+            );
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! while preserving the same pre-order region-label invariants the parser
 //! establishes.
 
-use crate::dom::{Document, Node, NodeId, NodeKind};
+use crate::dom::{Document, Node, NodeId, NodeKind, Span};
 use crate::name::{NameId, NameTable};
 
 /// Builds a [`Document`] with an open/close element API.
@@ -27,6 +27,8 @@ use crate::name::{NameId, NameTable};
 #[derive(Debug, Default)]
 pub struct DocumentBuilder {
     nodes: Vec<Node>,
+    /// The document's values so far, back to back in node order.
+    text: String,
     names: NameTable,
     /// Stack of (element index, last child index or NONE).
     open: Vec<(u32, u32)>,
@@ -37,6 +39,7 @@ impl DocumentBuilder {
     pub fn new() -> Self {
         DocumentBuilder {
             nodes: Vec::new(),
+            text: String::new(),
             names: NameTable::new(),
             open: Vec::new(),
             root: NodeId::NONE,
@@ -51,7 +54,7 @@ impl DocumentBuilder {
         b
     }
 
-    fn push_node(&mut self, kind: NodeKind, name: NameId, value: Option<Box<str>>) -> u32 {
+    fn push_node(&mut self, kind: NodeKind, name: NameId, value: Span) -> u32 {
         let idx = self.nodes.len() as u32;
         let (parent, level) = match self.open.last() {
             Some(&(p, _)) => (p, self.nodes[p as usize].level + 1),
@@ -59,14 +62,13 @@ impl DocumentBuilder {
         };
         self.nodes.push(Node {
             kind,
+            level,
             name,
-            value,
             parent,
             first_child: NodeId::NONE,
             next_sibling: NodeId::NONE,
-            start: idx,
             end: idx + 1,
-            level,
+            value,
         });
         if let Some(&mut (p, ref mut last)) = self.open.last_mut() {
             if *last == NodeId::NONE {
@@ -86,7 +88,7 @@ impl DocumentBuilder {
             "document may only have one root element"
         );
         let name_id = self.names.intern(name);
-        let idx = self.push_node(NodeKind::Element, name_id, None);
+        let idx = self.push_node(NodeKind::Element, name_id, Span::default());
         if self.open.is_empty() {
             self.root = idx;
         }
@@ -104,14 +106,16 @@ impl DocumentBuilder {
         );
         let _ = elem;
         let name_id = self.names.intern(name);
-        self.push_node(NodeKind::Attribute, name_id, Some(value.into()));
+        let value = Span::push(&mut self.text, value);
+        self.push_node(NodeKind::Attribute, name_id, value);
         self
     }
 
     /// Add a text child to the currently open element.
     pub fn text(&mut self, content: &str) -> &mut Self {
         assert!(!self.open.is_empty(), "text() outside an open element");
-        self.push_node(NodeKind::Text, NameId::NONE, Some(content.into()));
+        let value = Span::push(&mut self.text, content);
+        self.push_node(NodeKind::Text, NameId::NONE, value);
         self
     }
 
@@ -139,7 +143,9 @@ impl DocumentBuilder {
         if self.root == NodeId::NONE {
             return Err("document has no root element");
         }
-        Ok(Document::from_arena(self.nodes, self.names, self.root))
+        Ok(Document::from_arena(
+            self.nodes, self.text, self.names, self.root,
+        ))
     }
 }
 

@@ -8,6 +8,12 @@
 //! `a.start < d.start && d.end <= a.end`, and document order is `start`
 //! order. Indexes store `(doc, start)` pairs and structural verification
 //! never has to re-walk the tree.
+//!
+//! A sealed document is three flat blocks plus its [`NameTable`]: the
+//! node records, in pre-order (so `start` is the arena index and is not
+//! stored); one text buffer holding every text and attribute value
+//! back to back, which a node addresses by offset and length; and the
+//! name table's own buffers. Nothing is allocated per node.
 
 use crate::name::{NameId, NameTable};
 use std::sync::OnceLock;
@@ -40,37 +46,78 @@ pub enum NodeKind {
     Text,
 }
 
+/// One node's fixed-width record. Its `start` label is its arena index.
 #[derive(Debug, Clone)]
 pub(crate) struct Node {
     pub(crate) kind: NodeKind,
+    pub(crate) level: u16,
     pub(crate) name: NameId,
-    /// Text content for text nodes, attribute value for attributes.
-    pub(crate) value: Option<Box<str>>,
     pub(crate) parent: u32,
     pub(crate) first_child: u32,
     pub(crate) next_sibling: u32,
-    pub(crate) start: u32,
     pub(crate) end: u32,
-    pub(crate) level: u16,
+    /// Text content for text nodes, attribute value for attributes, as
+    /// a range of the document's text buffer. Empty for elements.
+    pub(crate) value: Span,
 }
+
+/// A byte range of a document's text buffer.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Span {
+    pub(crate) start: u32,
+    pub(crate) len: u32,
+}
+
+impl Span {
+    /// The span from `start` to the end of `text`.
+    pub(crate) fn to_end(text: &str, start: usize) -> Span {
+        let end = u32::try_from(text.len()).expect("a document's values exceed 4 GiB");
+        let start = start as u32; // start <= end
+        Span {
+            start,
+            len: end - start,
+        }
+    }
+
+    /// The span of `value` once appended to `text`.
+    pub(crate) fn push(text: &mut String, value: &str) -> Span {
+        let start = text.len();
+        text.push_str(value);
+        Span::to_end(text, start)
+    }
+
+    #[inline]
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// The per-node size the cost model prices a document at: the 48 bytes
+/// a node record took while each value was a heap string of its own.
+/// [`Document::byte_size`] feeds `CollectionStats::total_bytes` and so
+/// every page estimate and recommendation; it is modelled in these
+/// units so that the arena's real record size never moves a plan.
+pub(crate) const MODEL_NODE_BYTES: usize = 48;
 
 /// A parsed XML document. Nodes live in a flat arena and are addressed by
 /// [`NodeId`]; the document is immutable after construction (updates at the
 /// database layer replace whole documents, as DB2 pureXML does per-document).
 #[derive(Debug, Clone)]
 pub struct Document {
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) names: NameTable,
-    pub(crate) root: u32,
-    /// Approximate in-memory size, computed once at construction —
-    /// `byte_size()` sits on the executor's per-fetch hot path.
-    pub(crate) byte_size: usize,
+    nodes: Box<[Node]>,
+    /// Every text and attribute value, back to back in node order.
+    text: Box<str>,
+    names: NameTable,
+    root: u32,
+    /// Modelled size, computed once at construction — `byte_size()`
+    /// sits on the executor's per-fetch hot path.
+    byte_size: usize,
     /// Sorted region-label columns for the batched executor, built on
     /// first use. Excluded from `byte_size()`: the page-accounting model
     /// prices the document itself, not executor scratch state, and the
     /// cost model must not shift when a document happens to have been
     /// queried through the batched path.
-    pub(crate) columns: OnceLock<NodeColumns>,
+    columns: OnceLock<NodeColumns>,
 }
 
 /// Column-oriented view of a document's region labels: for each node
@@ -101,7 +148,6 @@ impl NodeColumns {
         };
         for (i, n) in doc.nodes.iter().enumerate() {
             let start = i as u32;
-            debug_assert_eq!(n.start, start, "pre-order arena invariant");
             match n.kind {
                 NodeKind::Element => {
                     cols.elements.push(start);
@@ -173,10 +219,10 @@ impl Document {
         (p != NodeId::NONE).then_some(NodeId(p))
     }
 
-    /// Pre-order rank (document order position).
+    /// Pre-order rank (document order position): the arena index.
     #[inline]
     pub fn start(&self, id: NodeId) -> u32 {
-        self.node(id).start
+        id.0
     }
 
     /// One past the largest `start` in the subtree of `id`.
@@ -194,14 +240,19 @@ impl Document {
     /// True iff `anc` is a proper ancestor of `desc` — O(1) via regions.
     #[inline]
     pub fn is_ancestor(&self, anc: NodeId, desc: NodeId) -> bool {
-        let a = self.node(anc);
-        let d = self.node(desc);
-        a.start < d.start && d.end <= a.end
+        anc.0 < desc.0 && self.node(desc).end <= self.node(anc).end
     }
 
     /// Attribute value for a text/attribute node; `None` for elements.
     pub fn value(&self, id: NodeId) -> Option<&str> {
-        self.node(id).value.as_deref()
+        let n = self.node(id);
+        (n.kind != NodeKind::Element).then(|| self.text_of(n))
+    }
+
+    /// The stored value of `n` (empty for elements).
+    #[inline]
+    fn text_of(&self, n: &Node) -> &str {
+        &self.text[n.value.range()]
     }
 
     /// Child nodes of kind element or text, in document order.
@@ -243,9 +294,7 @@ impl Document {
     /// Nodes are arena-allocated in pre-order, so `start` equals the arena
     /// index and a subtree is the contiguous index range `(start, end)`.
     pub fn descendants(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let n = self.node(id);
-        debug_assert_eq!(n.start, id.0, "pre-order arena invariant");
-        (n.start + 1..n.end).map(NodeId)
+        (id.0 + 1..self.node(id).end).map(NodeId)
     }
 
     /// All nodes in document order.
@@ -256,10 +305,9 @@ impl Document {
     /// XPath string-value: concatenation of all descendant text for
     /// elements, the stored value for text and attribute nodes.
     pub fn string_value(&self, id: NodeId) -> String {
-        match self.node(id).kind {
-            NodeKind::Text | NodeKind::Attribute => {
-                self.node(id).value.as_deref().unwrap_or("").to_string()
-            }
+        let n = self.node(id);
+        match n.kind {
+            NodeKind::Text | NodeKind::Attribute => self.text_of(n).to_string(),
             NodeKind::Element => {
                 let mut out = String::new();
                 self.collect_text(id, &mut out);
@@ -270,8 +318,9 @@ impl Document {
 
     fn collect_text(&self, id: NodeId, out: &mut String) {
         for c in self.children(id) {
-            match self.node(c).kind {
-                NodeKind::Text => out.push_str(self.node(c).value.as_deref().unwrap_or("")),
+            let n = self.node(c);
+            match n.kind {
+                NodeKind::Text => out.push_str(self.text_of(n)),
                 NodeKind::Element => self.collect_text(c, out),
                 NodeKind::Attribute => {}
             }
@@ -300,8 +349,10 @@ impl Document {
         path
     }
 
-    /// Approximate in-memory size of this document in bytes, used by the
-    /// page-accounting model in `xia-storage`. Precomputed at
+    /// Modelled size of this document in bytes, used by the
+    /// page-accounting model in `xia-storage`: 48 bytes per node (the
+    /// record size before values moved to one buffer), plus the value
+    /// bytes, plus each name's bytes and 16. Precomputed at
     /// construction; O(1) here.
     pub fn byte_size(&self) -> usize {
         self.byte_size
@@ -344,22 +395,24 @@ impl Document {
     }
 
     /// Seal a finished arena (called once by the parser/builder) and
-    /// compute its size estimate. The arena is shrunk to fit: the
+    /// compute its modelled size. Every block is shrunk to fit: the
     /// document is immutable from here on and a database keeps it for
     /// as long as it lives, growth slack included.
-    pub(crate) fn from_arena(mut nodes: Vec<Node>, names: NameTable, root: u32) -> Document {
-        nodes.shrink_to_fit();
-        let node_bytes = std::mem::size_of_val(nodes.as_slice());
-        let value_bytes: usize = nodes
-            .iter()
-            .map(|n| n.value.as_deref().map_or(0, str::len))
-            .sum();
+    pub(crate) fn from_arena(
+        nodes: Vec<Node>,
+        text: String,
+        mut names: NameTable,
+        root: u32,
+    ) -> Document {
+        names.seal();
+        let value_bytes: usize = nodes.iter().map(|n| n.value.len as usize).sum();
         let name_bytes: usize = names.iter().map(|(_, n)| n.len() + 16).sum();
         Document {
-            nodes,
+            byte_size: nodes.len() * MODEL_NODE_BYTES + value_bytes + name_bytes,
+            nodes: nodes.into_boxed_slice(),
+            text: text.into_boxed_str(),
             names,
             root,
-            byte_size: node_bytes + value_bytes + name_bytes,
             columns: Default::default(),
         }
     }

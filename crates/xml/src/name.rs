@@ -5,7 +5,8 @@
 //! [`NameId`]. Name-test comparisons during XPath evaluation then reduce
 //! to integer equality after a single per-document lookup.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 /// Interned name handle, valid only within the [`NameTable`] that issued it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,10 +24,39 @@ impl NameId {
 }
 
 /// Append-only string interner for element and attribute names.
-#[derive(Debug, Default, Clone)]
+///
+/// A few flat blocks hold the whole table, each name exactly once: the
+/// names concatenated in interning order, where each one starts, and an
+/// open-addressed hash index of the ids for [`get`](Self::get) and
+/// [`intern`](Self::intern). A document keeps its table for as long as
+/// a database keeps the document, so the table holds no per-name
+/// allocation.
+#[derive(Debug, Clone)]
 pub struct NameTable {
-    names: Vec<Box<str>>,
-    lookup: HashMap<Box<str>, NameId>,
+    /// Every name, concatenated in interning order.
+    text: String,
+    /// Name `i` is `text[bounds[i]..bounds[i + 1]]`; `bounds[0]` is 0.
+    /// Every bound is where a whole `&str` was appended to `text`, so
+    /// every bound lies on a char boundary.
+    bounds: Vec<u32>,
+    /// `slots[h]` holds `id + 1` of a name whose probe sequence passes
+    /// `h`, or 0 when free. Its length is a power of two at least twice
+    /// the name count, so probe sequences stay short.
+    slots: Vec<u32>,
+    /// A keyed hash: names come from documents, and a fixed hash would
+    /// let a document choose names whose probe sequences all collide.
+    hasher: RandomState,
+}
+
+impl Default for NameTable {
+    fn default() -> Self {
+        NameTable {
+            text: String::new(),
+            bounds: vec![0],
+            slots: Vec::new(),
+            hasher: RandomState::new(),
+        }
+    }
 }
 
 impl NameTable {
@@ -34,45 +64,93 @@ impl NameTable {
         Self::default()
     }
 
+    /// The id of `name`, or the free slot where it would go. The table
+    /// must have slots.
+    fn find(&self, name: &str) -> Result<NameId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = self.hasher.hash_one(name) as usize & mask;
+        loop {
+            match self.slots[at] {
+                0 => return Err(at),
+                s if self.resolve(NameId(s - 1)) == name => return Ok(NameId(s - 1)),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Double the hash index (at least 8 slots) and re-place every id.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(8);
+        self.slots = vec![0; len];
+        for i in 0..self.len() as u32 {
+            let Err(at) = self.find(self.resolve(NameId(i))) else {
+                unreachable!("interned names are distinct");
+            };
+            self.slots[at] = i + 1;
+        }
+    }
+
     /// Intern `name`, returning the existing id if already present.
     pub fn intern(&mut self, name: &str) -> NameId {
-        if let Some(&id) = self.lookup.get(name) {
-            return id;
+        if self.slots.len() < 2 * (self.len() + 1) {
+            self.grow();
         }
-        let id = NameId(self.names.len() as u32);
-        let boxed: Box<str> = name.into();
-        self.names.push(boxed.clone());
-        self.lookup.insert(boxed, id);
-        id
+        match self.find(name) {
+            Ok(id) => id,
+            Err(at) => {
+                let id = NameId(self.len() as u32);
+                self.text.push_str(name);
+                let end = u32::try_from(self.text.len()).expect("a document's names exceed 4 GiB");
+                self.bounds.push(end);
+                self.slots[at] = id.0 + 1;
+                id
+            }
+        }
     }
 
     /// Look up a name without interning it. Returns `None` for unseen names,
     /// which callers use to short-circuit name tests that can never match.
     pub fn get(&self, name: &str) -> Option<NameId> {
-        self.lookup.get(name).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.find(name).ok()
     }
 
     /// Resolve an id back to its string. Panics on `NameId::NONE` or a
     /// foreign id; both indicate a logic error.
+    #[inline]
     pub fn resolve(&self, id: NameId) -> &str {
-        &self.names[id.0 as usize]
+        let i = id.0 as usize;
+        let (start, end) = (self.bounds[i] as usize, self.bounds[i + 1] as usize);
+        // Name tests compare a resolved name per node, so this skips the
+        // char-boundary checks of `&self.text[start..end]`.
+        debug_assert!(self.text.is_char_boundary(start) && self.text.is_char_boundary(end));
+        // SAFETY: `bounds` is private and only `intern` extends it, with
+        // the length of `text` right after appending a whole `&str`;
+        // `text` is only ever appended to. So `start <= end <= len` and
+        // both lie on char boundaries.
+        unsafe { self.text.get_unchecked(start..end) }
     }
 
     /// Number of distinct interned names.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.bounds.len() - 1
     }
 
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.len() == 0
     }
 
     /// Iterate over `(id, name)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (NameId, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (NameId(i as u32), n.as_ref()))
+        (0..self.len() as u32).map(|i| (NameId(i), self.resolve(NameId(i))))
+    }
+
+    /// Drop the growth slack of a finished table.
+    pub(crate) fn seal(&mut self) {
+        self.text.shrink_to_fit();
+        self.bounds.shrink_to_fit();
     }
 }
 
@@ -115,5 +193,18 @@ mod tests {
         t.intern("b");
         let names: Vec<_> = t.iter().map(|(_, n)| n.to_string()).collect();
         assert_eq!(names, vec!["a", "b"]);
+    }
+
+    #[test]
+    fn get_and_intern_agree_in_any_order() {
+        let mut t = NameTable::new();
+        let words = ["price", "item", "a", "zeta", "item", "b", "", "price"];
+        let ids: Vec<NameId> = words.iter().map(|w| t.intern(w)).collect();
+        assert_eq!(t.len(), 6);
+        for (w, id) in words.iter().zip(&ids) {
+            assert_eq!(t.get(w), Some(*id));
+            assert_eq!(t.resolve(*id), *w);
+        }
+        assert_eq!(t.get("pric"), None);
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! Builds the arena [`Document`] directly, assigning region labels on the
 //! fly: `start` is allocated at node creation (pre-order, equal to the
-//! arena index) and `end` is patched when the element closes.
+//! arena index) and `end` is patched when the element closes. Values are
+//! appended straight to the document's text buffer and names are sliced
+//! from the input, so the only allocations are the growing arena blocks.
 
-use crate::dom::{Document, Node, NodeId, NodeKind};
+use crate::dom::{Document, Node, NodeId, NodeKind, Span};
 use crate::error::{ParseError, ParseErrorKind};
 use crate::name::{NameId, NameTable};
 
@@ -20,26 +22,33 @@ pub(crate) fn parse_document(input: &str) -> Result<Document, ParseError> {
     if !p.eof() {
         return Err(p.err(ParseErrorKind::ContentOutsideRoot));
     }
-    Ok(Document::from_arena(p.nodes, p.names, root))
+    Ok(Document::from_arena(p.nodes, p.text, p.names, root))
 }
 
+/// Every slice of `src` the parser takes starts and ends at an ASCII
+/// delimiter or at the end of the input, so it lies on char boundaries.
 struct Parser<'a> {
+    src: &'a str,
     input: &'a [u8],
     pos: usize,
     line: u32,
     line_start: usize,
     nodes: Vec<Node>,
+    /// The document's values so far, back to back in node order.
+    text: String,
     names: NameTable,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
         Parser {
+            src: input,
             input: input.as_bytes(),
             pos: 0,
             line: 1,
             line_start: 0,
             nodes: Vec::new(),
+            text: String::new(),
             names: NameTable::new(),
         }
     }
@@ -144,7 +153,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_name(&mut self) -> Result<String, ParseError> {
+    fn parse_name(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
         match self.peek() {
             Some(b) if is_name_start(b) => {
@@ -163,30 +172,27 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        // Input was a &str, so slicing on byte boundaries we advanced over
-        // whole UTF-8 sequences is safe for ASCII-delimited names.
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
+        Ok(&self.src[start..self.pos])
     }
 
     fn new_node(
         &mut self,
         kind: NodeKind,
         name: NameId,
-        value: Option<Box<str>>,
+        value: Span,
         parent: u32,
         level: u16,
     ) -> u32 {
         let idx = self.nodes.len() as u32;
         self.nodes.push(Node {
             kind,
+            level,
             name,
-            value,
             parent,
             first_child: NodeId::NONE,
             next_sibling: NodeId::NONE,
-            start: idx,
             end: idx + 1,
-            level,
+            value,
         });
         idx
     }
@@ -210,12 +216,11 @@ impl<'a> Parser<'a> {
         }
         self.bump();
         let tag = self.parse_name()?;
-        let name_id = self.names.intern(&tag);
-        let elem = self.new_node(NodeKind::Element, name_id, None, parent, level);
+        let name_id = self.names.intern(tag);
+        let elem = self.new_node(NodeKind::Element, name_id, Span::default(), parent, level);
         let mut last_child = NodeId::NONE;
 
         // Attributes.
-        let mut seen_attrs: Vec<NameId> = Vec::new();
         loop {
             self.skip_ws();
             match self.peek() {
@@ -234,11 +239,16 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     let attr_name = self.parse_name()?;
-                    let attr_id = self.names.intern(&attr_name);
-                    if seen_attrs.contains(&attr_id) {
-                        return Err(self.err(ParseErrorKind::DuplicateAttribute(attr_name)));
+                    let attr_id = self.names.intern(attr_name);
+                    // Every node after `elem` so far is one of its attributes.
+                    if self.nodes[elem as usize + 1..]
+                        .iter()
+                        .any(|a| a.name == attr_id)
+                    {
+                        return Err(
+                            self.err(ParseErrorKind::DuplicateAttribute(attr_name.to_string()))
+                        );
                     }
-                    seen_attrs.push(attr_id);
                     self.skip_ws();
                     if self.peek() != Some(b'=') {
                         return Err(self.err(ParseErrorKind::UnexpectedChar(
@@ -248,33 +258,27 @@ impl<'a> Parser<'a> {
                     self.bump();
                     self.skip_ws();
                     let value = self.parse_attr_value()?;
-                    let attr = self.new_node(
-                        NodeKind::Attribute,
-                        attr_id,
-                        Some(value.into_boxed_str()),
-                        elem,
-                        level + 1,
-                    );
+                    let attr = self.new_node(NodeKind::Attribute, attr_id, value, elem, level + 1);
                     self.link_child(elem, attr, &mut last_child);
                 }
                 None => return Err(self.err(ParseErrorKind::UnexpectedEof)),
             }
         }
 
-        // Content.
-        let mut text_buf = String::new();
+        // Content. The text appended since `run` is the pending text node.
+        let mut run = self.text.len();
         loop {
             if self.eof() {
                 return Err(self.err(ParseErrorKind::UnexpectedEof));
             }
             if self.starts_with("</") {
-                self.flush_text(elem, level, &mut text_buf, &mut last_child);
+                self.flush_text(elem, level, run, &mut last_child);
                 self.advance(2);
                 let close = self.parse_name()?;
                 if close != tag {
                     return Err(self.err(ParseErrorKind::MismatchedTag {
-                        expected: tag,
-                        found: close,
+                        expected: tag.to_string(),
+                        found: close.to_string(),
                     }));
                 }
                 self.skip_ws();
@@ -300,48 +304,41 @@ impl<'a> Parser<'a> {
                     }
                     self.bump();
                 }
-                text_buf.push_str(&String::from_utf8_lossy(&self.input[start..self.pos]));
+                self.text.push_str(&self.src[start..self.pos]);
                 self.advance(3);
             } else if self.starts_with("<?") {
                 self.skip_until("?>", "processing instruction")?;
             } else if self.peek() == Some(b'<') {
-                self.flush_text(elem, level, &mut text_buf, &mut last_child);
+                self.flush_text(elem, level, run, &mut last_child);
                 let child = self.parse_element(elem, level + 1)?;
                 self.link_child(elem, child, &mut last_child);
+                run = self.text.len();
             } else {
-                let c = self.parse_char_data()?;
-                text_buf.push_str(&c);
+                self.parse_char_data()?;
             }
         }
     }
 
-    fn flush_text(&mut self, elem: u32, level: u16, buf: &mut String, last_child: &mut u32) {
+    /// Turn the text appended since `run` into a text node of `elem`.
+    fn flush_text(&mut self, elem: u32, level: u16, run: usize, last_child: &mut u32) {
         // Whitespace-only runs between elements are formatting noise and
         // are dropped, matching how data-centric XML stores load documents.
-        if buf.trim().is_empty() {
-            buf.clear();
+        if self.text[run..].trim().is_empty() {
+            self.text.truncate(run);
             return;
         }
-        let text = self.new_node(
-            NodeKind::Text,
-            NameId::NONE,
-            Some(std::mem::take(buf).into_boxed_str()),
-            elem,
-            level + 1,
-        );
+        let value = Span::to_end(&self.text, run);
+        let text = self.new_node(NodeKind::Text, NameId::NONE, value, elem, level + 1);
         self.link_child(elem, text, last_child);
     }
 
-    /// Character data up to the next `<` or `&`-resolved text.
-    fn parse_char_data(&mut self) -> Result<String, ParseError> {
-        let mut out = String::new();
+    /// Character data up to the next `<`, entities resolved, appended to
+    /// the text buffer.
+    fn parse_char_data(&mut self) -> Result<(), ParseError> {
         loop {
             match self.peek() {
-                None | Some(b'<') => return Ok(out),
-                Some(b'&') => {
-                    let c = self.parse_entity()?;
-                    out.push_str(&c);
-                }
+                None | Some(b'<') => return Ok(()),
+                Some(b'&') => self.parse_entity()?,
                 Some(_) => {
                     let start = self.pos;
                     while let Some(b) = self.peek() {
@@ -350,47 +347,47 @@ impl<'a> Parser<'a> {
                         }
                         self.bump();
                     }
-                    out.push_str(&String::from_utf8_lossy(&self.input[start..self.pos]));
+                    self.text.push_str(&self.src[start..self.pos]);
                 }
             }
         }
     }
 
-    fn parse_attr_value(&mut self) -> Result<String, ParseError> {
+    /// A quoted attribute value, entities resolved, appended to the text
+    /// buffer.
+    fn parse_attr_value(&mut self) -> Result<Span, ParseError> {
         let quote = match self.peek() {
             Some(q @ (b'"' | b'\'')) => q,
             Some(b) => return Err(self.err(ParseErrorKind::UnexpectedChar(b as char))),
             None => return Err(self.err(ParseErrorKind::UnexpectedEof)),
         };
         self.bump();
-        let mut out = String::new();
+        let start = self.text.len();
         loop {
             match self.peek() {
                 None => return Err(self.err(ParseErrorKind::UnexpectedEof)),
                 Some(b) if b == quote => {
                     self.bump();
-                    return Ok(out);
+                    return Ok(Span::to_end(&self.text, start));
                 }
-                Some(b'&') => {
-                    let c = self.parse_entity()?;
-                    out.push_str(&c);
-                }
+                Some(b'&') => self.parse_entity()?,
                 Some(_) => {
-                    let start = self.pos;
+                    let from = self.pos;
                     while let Some(b) = self.peek() {
                         if b == quote || b == b'&' {
                             break;
                         }
                         self.bump();
                     }
-                    out.push_str(&String::from_utf8_lossy(&self.input[start..self.pos]));
+                    self.text.push_str(&self.src[from..self.pos]);
                 }
             }
         }
     }
 
-    /// `&lt; &gt; &amp; &apos; &quot;` and `&#NN;` / `&#xHH;`.
-    fn parse_entity(&mut self) -> Result<String, ParseError> {
+    /// `&lt; &gt; &amp; &apos; &quot;` and `&#NN;` / `&#xHH;`, resolved
+    /// and appended to the text buffer.
+    fn parse_entity(&mut self) -> Result<(), ParseError> {
         debug_assert_eq!(self.peek(), Some(b'&'));
         self.bump();
         let start = self.pos;
@@ -403,32 +400,29 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.err(ParseErrorKind::BadCharRef)),
             }
         }
-        let name = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
+        let name = &self.src[start..self.pos];
         self.bump(); // ;
-        let resolved = match name.as_str() {
-            "lt" => "<".to_string(),
-            "gt" => ">".to_string(),
-            "amp" => "&".to_string(),
-            "apos" => "'".to_string(),
-            "quot" => "\"".to_string(),
+        let code = |digits: &str, radix| {
+            u32::from_str_radix(digits, radix)
+                .ok()
+                .and_then(char::from_u32)
+        };
+        let resolved = match name {
+            "lt" => '<',
+            "gt" => '>',
+            "amp" => '&',
+            "apos" => '\'',
+            "quot" => '"',
             _ if name.starts_with("#x") || name.starts_with("#X") => {
-                let code = u32::from_str_radix(&name[2..], 16)
-                    .map_err(|_| self.err(ParseErrorKind::BadCharRef))?;
-                char::from_u32(code)
-                    .ok_or_else(|| self.err(ParseErrorKind::BadCharRef))?
-                    .to_string()
+                code(&name[2..], 16).ok_or_else(|| self.err(ParseErrorKind::BadCharRef))?
             }
             _ if name.starts_with('#') => {
-                let code = name[1..]
-                    .parse::<u32>()
-                    .map_err(|_| self.err(ParseErrorKind::BadCharRef))?;
-                char::from_u32(code)
-                    .ok_or_else(|| self.err(ParseErrorKind::BadCharRef))?
-                    .to_string()
+                code(&name[1..], 10).ok_or_else(|| self.err(ParseErrorKind::BadCharRef))?
             }
-            _ => return Err(self.err(ParseErrorKind::UnknownEntity(name))),
+            _ => return Err(self.err(ParseErrorKind::UnknownEntity(name.to_string()))),
         };
-        Ok(resolved)
+        self.text.push(resolved);
+        Ok(())
     }
 }
 

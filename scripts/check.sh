@@ -48,6 +48,14 @@ run_hard cargo test -q --offline -p xia-bench --test repro_snapshot
 # injected fault yields old or new state, never corruption) must never
 # silently drop out of the suite.
 run_hard cargo test -q --offline -p xia-storage --test crash_matrix
+# The monitor differential by name: eviction from stored keys must match
+# the recompile-everything reference bit for bit (snapshot entries,
+# counters, change stamps) over seeded observe/decay/restore sequences.
+run_hard cargo test -q --offline -p xia-workload --lib stored_key_eviction_matches_the_recompiling_reference
+# The document footprint by name: a parsed INSERT body holds a few
+# compact blocks, and `byte_size()` (the cost model's page input) keeps
+# its exact values.
+run_hard cargo test -q --offline -p xia-xml --test doc_footprint
 # The differential oracle: a pinned-seed sweep over the invariants
 # (plan equivalence, containment, parity, durability, estimate sanity,
 # exec-parity between the batched and navigational executors, sampled
@@ -253,6 +261,24 @@ check_cow_commit_path() {
   fi
 }
 check_cow_commit_path
+
+# A monitor eviction runs under the tenant's monitor mutex on the QUERY
+# path, so it works from the keys stored when each entry was inserted and
+# never recompiles a stored text (the recompiling reference is test-only).
+check_eviction_no_compile() {
+  echo "==> grep: no compile( inside fn evict_coldest (workload/src/monitor.rs)"
+  local body
+  body=$(awk '/fn evict_coldest\(/{inside=1} inside{print FILENAME":"FNR": "$0} inside && /^    }$/{exit}' \
+    crates/workload/src/monitor.rs)
+  if [ -z "$body" ]; then
+    echo "FAILED: fn evict_coldest not found in crates/workload/src/monitor.rs" >&2
+    failures=$((failures + 1))
+  elif grep -E 'compile\(' <<<"$body"; then
+    echo "FAILED: evict_coldest recompiles stored texts (see matches above)" >&2
+    failures=$((failures + 1))
+  fi
+}
+check_eviction_no_compile
 
 run_if_installed fmt cargo fmt --check
 run_if_installed clippy cargo clippy --offline --all-targets -- -D warnings
