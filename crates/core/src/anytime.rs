@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use crate::generalize::Dag;
 use crate::search::{outcome, GreedyKnobs, SearchOutcome};
-use crate::whatif::{normalize, EngineConfig, WhatIfEngine};
+use crate::whatif::{normalize, AtomSet, EngineConfig, WhatIfEngine};
 use crate::workload::Workload;
 use xia_optimizer::CostModel;
 use xia_storage::Collection;
@@ -151,7 +151,7 @@ enum Phase {
 pub struct AnytimeState {
     phase: Phase,
     chosen: Vec<usize>,
-    covered: u128,
+    covered: AtomSet,
     // Greedy add-step scan frontier.
     scan: Option<GreedyScan>,
     // Eviction pass frontier.
@@ -186,7 +186,7 @@ impl AnytimeState {
         AnytimeState {
             phase: Phase::Init,
             chosen: Vec::new(),
-            covered: 0,
+            covered: AtomSet::default(),
             scan: None,
             evict_current: None,
             evict_pos: 0,
@@ -354,7 +354,7 @@ pub(crate) fn drive(
                 }
                 state.telemetry.warm_start = warm.len();
                 for &i in &warm {
-                    state.covered |= ev.coverage[i];
+                    state.covered.union_with(&ev.coverage[i]);
                 }
                 state.chosen = warm;
                 state.phase = Phase::Greedy;
@@ -382,7 +382,7 @@ pub(crate) fn drive(
                     // give any so-far-uncovered workload pattern an index.
                     if state.chosen.contains(&i)
                         || scan.used + ev.dag.nodes[i].candidate.size_bytes > budget_bytes
-                        || (knobs.coverage_bitmap && ev.coverage[i] & !state.covered == 0)
+                        || (knobs.coverage_bitmap && ev.coverage[i].is_subset(&state.covered))
                     {
                         scan.next += 1;
                         continue;
@@ -406,7 +406,7 @@ pub(crate) fn drive(
                 }
                 match scan.best {
                     Some((i, marginal, ratio)) => {
-                        state.covered |= ev.coverage[i];
+                        state.covered.union_with(&ev.coverage[i]);
                         state.trace.push(format!(
                             "add {} (marginal benefit {marginal:.1}, ratio {ratio:.6})",
                             ev.dag.nodes[i].candidate.pattern
@@ -429,10 +429,10 @@ pub(crate) fn drive(
                         slice_evals += 1;
                         state.telemetry.evals += 1;
                         if let Some(added) =
-                            try_or_group_add(ev, &state.chosen, state.covered, budget_bytes, knobs)
+                            try_or_group_add(ev, &state.chosen, &state.covered, budget_bytes, knobs)
                         {
                             for &i in &added {
-                                state.covered |= ev.coverage[i];
+                                state.covered.union_with(&ev.coverage[i]);
                                 state.trace.push(format!(
                                     "add {} (OR-group member)",
                                     ev.dag.nodes[i].candidate.pattern
@@ -608,7 +608,7 @@ pub(crate) fn drive(
 fn try_or_group_add(
     ev: &mut WhatIfEngine<'_>,
     chosen: &[usize],
-    covered: u128,
+    covered: &AtomSet,
     budget: u64,
     knobs: GreedyKnobs,
 ) -> Option<Vec<usize>> {
@@ -617,19 +617,19 @@ fn try_or_group_add(
     let current = ev.cost(chosen);
     for branches in groups {
         // Nothing to do if the group is already fully covered.
-        if knobs.coverage_bitmap && branches.iter().all(|b| b & covered != 0) {
+        if knobs.coverage_bitmap && branches.iter().all(|b| b.intersects(covered)) {
             continue;
         }
         // Per branch, the cheapest candidate covering any of its atoms.
         let mut add: Vec<usize> = Vec::new();
         let mut ok = true;
         for branch_mask in &branches {
-            if branch_mask & covered != 0 {
+            if branch_mask.intersects(covered) {
                 continue; // branch already covered by a chosen index
             }
             let best = (0..ev.dag.nodes.len())
                 .filter(|i| !chosen.contains(i) && !add.contains(i))
-                .filter(|&i| ev.coverage[i] & branch_mask != 0)
+                .filter(|&i| ev.coverage[i].intersects(branch_mask))
                 .min_by_key(|&i| ev.dag.nodes[i].candidate.size_bytes);
             match best {
                 Some(i) => add.push(i),
@@ -697,6 +697,53 @@ mod tests {
         "/site/asia/item[price = 17]/quantity",
         "/site/europe/item[quantity = 2]/price",
     ];
+
+    /// Regression: the coverage set once held only the first 128 atoms
+    /// of the workload, so a candidate serving only later atoms had
+    /// empty coverage and the greedy step skipped it, however much it
+    /// was worth. Here the one heavy query's atom is the 140th.
+    #[test]
+    fn greedy_sees_atoms_past_the_128th() {
+        const ELEMENTS: usize = 140;
+        let mut c = Collection::new("wide");
+        for d in 0..300 {
+            let mut b = DocumentBuilder::new();
+            b.open("r");
+            for k in 0..ELEMENTS {
+                b.open(&format!("e{k}"));
+                b.leaf("v", &format!("{}", (d + k) % 50));
+                b.close();
+            }
+            b.close();
+            c.insert(b.finish().unwrap());
+        }
+        let mut w = Workload::new();
+        for k in 0..ELEMENTS {
+            let weight = if k == ELEMENTS - 1 { 1000.0 } else { 1.0 };
+            w.add_query(&format!("/r/e{k}[v = 7]"), "wide", weight)
+                .unwrap();
+        }
+        let basics = generate_basic_candidates(&c, &w);
+        let dag = generalize(&c, &basics, &GeneralizationConfig::default());
+        let model = CostModel::default();
+        let ev = WhatIfEngine::from_workload(&c, &model, &w, &dag, EngineConfig::default());
+        assert!(ev.universe > 128, "universe of {} atoms", ev.universe);
+        let out = search(
+            &c,
+            &model,
+            &w,
+            &dag,
+            64 << 10,
+            SearchStrategy::GreedyHeuristic,
+        );
+        let picked: Vec<String> = out
+            .chosen
+            .iter()
+            .map(|&i| dag.nodes[i].candidate.pattern.to_string())
+            .collect();
+        let heavy = format!("/r/e{}/v", ELEMENTS - 1);
+        assert!(picked.contains(&heavy), "greedy picked {picked:?}");
+    }
 
     #[test]
     fn chopped_resume_converges_to_uninterrupted_result() {

@@ -157,8 +157,9 @@ pub fn scan_cost_upper_bound(collection: &Collection, model: &CostModel) -> f64 
 /// pass through untouched; their maintenance cost is exact either way.
 pub fn compress(workload: &Workload) -> CompressedWorkload {
     // Pass 1: merge exact duplicates, keeping first-occurrence order.
-    struct Variant {
-        query: NormalizedQuery,
+    // Variants borrow their query; only representatives are cloned.
+    struct Variant<'w> {
+        query: &'w NormalizedQuery,
         weight: f64,
     }
     let mut variants: Vec<Variant> = Vec::new();
@@ -176,7 +177,7 @@ pub fn compress(workload: &Workload) -> CompressedWorkload {
                     std::collections::hash_map::Entry::Vacant(e) => {
                         e.insert(variants.len());
                         variants.push(Variant {
-                            query: q.clone(),
+                            query: q,
                             weight: stmt.frequency,
                         });
                     }
@@ -199,27 +200,24 @@ pub fn compress(workload: &Workload) -> CompressedWorkload {
     let mut clusters: Vec<Building> = Vec::new();
     let mut by_template: HashMap<String, usize> = HashMap::new();
     for (i, v) in variants.iter().enumerate() {
-        let key = template_key(&v.query);
-        match by_template.entry(key.clone()) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let c = &mut clusters[*e.get()];
-                c.weight += v.weight;
-                c.count += 1;
-                // Representative = highest-weight variant; first
-                // occurrence wins ties, so the choice is deterministic.
-                if v.weight > variants[c.rep].weight {
-                    c.rep = i;
-                }
+        let key = template_key(v.query);
+        if let Some(&ci) = by_template.get(&key) {
+            let c = &mut clusters[ci];
+            c.weight += v.weight;
+            c.count += 1;
+            // Representative = highest-weight variant; first
+            // occurrence wins ties, so the choice is deterministic.
+            if v.weight > variants[c.rep].weight {
+                c.rep = i;
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(clusters.len());
-                clusters.push(Building {
-                    template: key,
-                    rep: i,
-                    weight: v.weight,
-                    count: 1,
-                });
-            }
+        } else {
+            by_template.insert(key.clone(), clusters.len());
+            clusters.push(Building {
+                template: key,
+                rep: i,
+                weight: v.weight,
+                count: 1,
+            });
         }
     }
 

@@ -269,7 +269,7 @@ fn top_down(ev: &mut WhatIfEngine<'_>, budget: u64) -> SearchOutcome {
         .roots()
         .into_iter()
         // Roots that cannot help any workload atom are dead weight.
-        .filter(|&i| ev.coverage[i] != 0 || ev.atoms.is_empty())
+        .filter(|&i| !ev.coverage[i].is_empty() || ev.universe == 0)
         .collect();
     let mut trace = vec![format!(
         "top-down: start from {} DAG roots, size {} KiB (budget {} KiB)",

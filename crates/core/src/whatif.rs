@@ -1,10 +1,10 @@
-//! The what-if cost engine: incrementally-cached, parallel configuration
-//! costing for the advisor search.
+//! The what-if cost engine: incrementally-cached configuration costing
+//! for the advisor search.
 //!
 //! Every search strategy asks the same question thousands of times: "what
 //! would the workload cost if exactly this index set existed?" The seed
-//! answered each ask by re-optimizing the *whole* workload. Two facts make
-//! that wasteful:
+//! answered each ask by re-optimizing the *whole* workload. Three facts
+//! make that wasteful:
 //!
 //! 1. **Per-query decomposition.** Evaluate Indexes mode optimizes each
 //!    query independently, so the workload cost is a weighted sum of
@@ -14,46 +14,59 @@
 //!    matches no atom of a query cannot influence that query's plan.
 //!    A query's cost therefore depends only on `chosen ∩ relevant(query)`
 //!    — the atomic-configuration insight of CoPhy-style advisors.
+//! 3. **Legs do not depend on the configuration.** A plan is the minimum
+//!    over a few shapes (scan, OR, index-only, AND prefixes) built from
+//!    per-(atom, index) access legs, and a leg's cost depends only on the
+//!    atom, the index and the statistics. So each leg is costed once and
+//!    every configuration after that is arithmetic.
 //!
-//! The engine memoizes per-query results keyed by `(query, chosen ∩
-//! relevant(query))`. A greedy step that tries `chosen + {i}` re-optimizes
-//! only the queries `i` is relevant to; every other query is a cache hit.
-//! Cache misses are independent single-query optimizations, so they fan
-//! out across OS threads with `std::thread::scope` — results are merged
-//! and summed in query order on the calling thread, keeping f64 totals
-//! bitwise identical to a sequential evaluation.
+//! At construction one pass over (query, atom, DAG node) builds the
+//! **match table**: which candidates can serve which atoms, and how.
+//! Relevance and the coverage sets are read from it. The engine memoizes
+//! per-query results keyed by `(query, chosen ∩ relevant(query))`; a
+//! greedy step that tries `chosen + {i}` re-prices only the queries `i`
+//! is relevant to. A miss assembles the plan with the optimizer's own
+//! [`assemble`] from legs cached per match-table slot, each filled on
+//! first use from per-node path sets and index statistics and per-atom
+//! facts that are also computed once. A miss scans no path dictionary,
+//! matches no index and clones no pattern, so it runs on the calling
+//! thread: `threads` only splits the match-table build.
 //!
 //! Update maintenance costing gets the same treatment: the node-count
 //! `nodes_matching(sample, pattern)` walks every node of an update
 //! document and the seed repeated it per costed configuration; the engine
 //! hoists it into a lazy once-per-(update-doc, candidate) table.
 //!
-//! [`EvalStats`] counts what-if optimizer calls, cache traffic and wall
-//! time so the CLI and benchmarks can report what the search actually
-//! paid.
+//! [`EvalStats`] counts what-if evaluations (signature misses), cache
+//! traffic and wall time so the CLI and benchmarks can report what the
+//! search actually paid.
 
 use crate::generalize::Dag;
 use crate::workload::Workload;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::time::{Duration, Instant};
-use xia_index::{match_index, IndexDefinition, IndexId, PathPredicate};
-use xia_optimizer::{atom_predicate, evaluate_indexes, evaluate_query, CostModel};
-use xia_storage::Collection;
+use xia_index::{match_index, IndexDefinition, IndexId, IndexMatch, PathPredicate};
+use xia_optimizer::{
+    assemble, atom_predicate, best_leg, cost_leg, drives_access, evaluate_indexes,
+    index_only_eligible, index_only_leg, AtomFacts, CostModel, IndexLeg, IndexStats, QueryFrame,
+};
+use xia_storage::{Collection, PathId};
 use xia_xml::{Document, NodeKind};
 use xia_xquery::NormalizedQuery;
 
 /// Tuning knobs for the engine. The defaults are what [`crate::search`]
-/// uses; the uncached single-threaded setting reproduces the seed's
-/// straight-line evaluation and serves as the benchmark baseline and the
+/// uses; the uncached setting reproduces the seed's straight-line
+/// evaluation and serves as the benchmark baseline and the
 /// property-test reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Memoize per-query results by relevant-index signature. When off,
     /// every configuration cost re-optimizes the whole workload.
     pub per_query_cache: bool,
-    /// Worker threads for cache-miss fan-out. `0` means auto: the
-    /// `XIA_WHATIF_THREADS` environment variable if set, otherwise
-    /// `std::thread::available_parallelism()` (capped at 16).
+    /// Worker threads for the one-time match-table build. `0` means
+    /// auto: the `XIA_WHATIF_THREADS` environment variable if set,
+    /// otherwise `std::thread::available_parallelism()` (capped at 16).
     pub threads: usize,
 }
 
@@ -100,17 +113,19 @@ pub struct EvalStats {
     pub configs_evaluated: u64,
     /// Requests answered from the whole-configuration cache.
     pub config_cache_hits: u64,
-    /// Single-query optimizer invocations actually performed.
+    /// Single-query evaluations actually performed: one per signature
+    /// miss (a plan assembled from cached legs), or one optimizer run per
+    /// query in uncached mode.
     pub whatif_calls: u64,
     /// Per-query lookups answered from the signature cache.
     pub query_cache_hits: u64,
-    /// Per-query lookups that required an optimizer call.
+    /// Per-query lookups that required an evaluation.
     pub query_cache_misses: u64,
     /// Maintenance-table lookups answered from the memo.
     pub maintenance_hits: u64,
     /// Maintenance-table entries computed (one document walk each).
     pub maintenance_misses: u64,
-    /// Worker threads the engine fans out across.
+    /// Worker threads the match-table build splits across.
     pub threads: usize,
     /// Wall time spent inside `cost`/`detail`.
     pub wall: Duration,
@@ -157,11 +172,293 @@ pub fn normalize(chosen: &[usize]) -> Vec<usize> {
     key
 }
 
-/// Cached result of optimizing one query under one relevant-index set.
+/// A set of atom-universe positions, of any width.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct AtomSet {
+    words: Vec<u64>,
+}
+
+impl AtomSet {
+    fn insert(&mut self, k: usize) {
+        let w = k / 64;
+        if self.words.len() <= w {
+            self.words.resize(w + 1, 0);
+        }
+        self.words[w] |= 1 << (k % 64);
+    }
+
+    pub(crate) fn union_with(&mut self, other: &AtomSet) {
+        if self.words.len() < other.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    pub(crate) fn intersects(&self, other: &AtomSet) -> bool {
+        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
+    }
+
+    /// Is every member of `self` also in `other`?
+    pub(crate) fn is_subset(&self, other: &AtomSet) -> bool {
+        self.words.iter().enumerate().all(|(i, &a)| {
+            let b = other.words.get(i).copied().unwrap_or(0);
+            a & !b == 0
+        })
+    }
+}
+
+/// Hasher for the engine's memo keys, which are short runs of DAG node
+/// indices: a multiply-rotate mix per word (the FxHash scheme), several
+/// times cheaper than SipHash on such keys. The keys come from the
+/// advisor's own DAG, not from callers, so no collision-resistance is
+/// needed.
+#[derive(Default, Clone, Copy)]
+struct NodeHasher(u64);
+
+impl std::hash::Hasher for NodeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.write_u64(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        for &b in chunks.remainder() {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type NodeMap<V> = HashMap<Vec<usize>, V, std::hash::BuildHasherDefault<NodeHasher>>;
+
+/// Cached result of pricing one query under one relevant-index signature.
 #[derive(Debug, Clone)]
 struct QueryOutcome {
     cost: f64,
     used: Vec<usize>,
+}
+
+/// One match-table entry: DAG node `node` can serve one query atom.
+/// Its legs are filled on first use and never change afterwards.
+struct Slot {
+    node: usize,
+    matched: IndexMatch,
+    /// The access leg [`cost_leg`] prices for the atom.
+    leg: Option<IndexLeg>,
+    /// The index-only leg, for an [`index_only_eligible`] query's atom 0.
+    only: Option<IndexLeg>,
+}
+
+/// What the statistics say about one candidate, whatever it serves.
+struct NodeFacts {
+    paths: Vec<PathId>,
+    istats: IndexStats,
+}
+
+/// The match table and every configuration-independent costing input,
+/// filled lazily as the search first needs each piece.
+struct LegTable {
+    /// One virtual definition per DAG node; its id is the node index, so
+    /// a leg's `index` maps straight back to the node.
+    defs: Vec<IndexDefinition>,
+    /// Flat atom position of each query's atom 0.
+    atom_base: Vec<usize>,
+    /// For each flat atom, its slots in `slots`, ascending by node.
+    spans: Vec<Range<usize>>,
+    slots: Vec<Slot>,
+    frames: Vec<Option<QueryFrame>>,
+    facts: Vec<Option<AtomFacts>>,
+    nodes: Vec<Option<NodeFacts>>,
+    /// Scratch: (atom, slot) pairs a miss reads, reused across misses.
+    picked: Vec<(usize, usize)>,
+}
+
+impl LegTable {
+    /// Match every query atom against every DAG node, splitting the
+    /// nodes across `threads` scoped workers when the DAG is big enough.
+    fn build(dag: &Dag, queries: &[NormalizedQuery], threads: usize) -> LegTable {
+        let defs = defs_for(dag, &(0..dag.nodes.len()).collect::<Vec<_>>());
+        let mut atom_base = Vec::with_capacity(queries.len());
+        let mut preds: Vec<PathPredicate> = Vec::new();
+        for q in queries {
+            atom_base.push(preds.len());
+            preds.extend(q.atoms.iter().map(atom_predicate));
+        }
+        // matches[node] = (flat atom, how) for every atom the node serves.
+        let one = |i: usize| -> Vec<(usize, IndexMatch)> {
+            preds
+                .iter()
+                .enumerate()
+                .filter_map(|(f, p)| match_index(&defs[i], p).map(|m| (f, m)))
+                .collect()
+        };
+        let n = defs.len();
+        let workers = threads.min(n.div_ceil(16).max(1));
+        let matches: Vec<Vec<(usize, IndexMatch)>> = if workers <= 1 {
+            (0..n).map(one).collect()
+        } else {
+            let chunk = n.div_ceil(workers);
+            let mut out = Vec::with_capacity(n);
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| {
+                        let lo = w * chunk;
+                        let hi = ((w + 1) * chunk).min(n);
+                        let one = &one;
+                        s.spawn(move || (lo..hi).map(one).collect::<Vec<_>>())
+                    })
+                    .collect();
+                for h in handles {
+                    out.extend(h.join().expect("match-table worker panicked"));
+                }
+            });
+            out
+        };
+        // Transpose node-major matches into atom-major slots; visiting
+        // nodes in order keeps each atom's slots ascending by node.
+        let mut per_atom: Vec<Vec<Slot>> = (0..preds.len()).map(|_| Vec::new()).collect();
+        for (node, row) in matches.into_iter().enumerate() {
+            for (f, matched) in row {
+                per_atom[f].push(Slot {
+                    node,
+                    matched,
+                    leg: None,
+                    only: None,
+                });
+            }
+        }
+        let mut spans = Vec::with_capacity(per_atom.len());
+        let mut slots = Vec::new();
+        for atom_slots in per_atom {
+            let lo = slots.len();
+            slots.extend(atom_slots);
+            spans.push(lo..slots.len());
+        }
+        LegTable {
+            defs,
+            atom_base,
+            spans,
+            slots,
+            frames: vec![None; queries.len()],
+            facts: vec![None; preds.len()],
+            nodes: (0..n).map(|_| None).collect(),
+            picked: Vec::new(),
+        }
+    }
+
+    /// The slots of atom `a` of query `qi`.
+    fn atom_slots(&self, qi: usize, a: usize) -> &[Slot] {
+        &self.slots[self.spans[self.atom_base[qi] + a].clone()]
+    }
+
+    /// Price query `qi` under its relevant-index signature `sig`
+    /// (ascending node indices): fill the legs the signature reaches,
+    /// then assemble the plan from them.
+    fn price(
+        &mut self,
+        collection: &Collection,
+        model: &CostModel,
+        qi: usize,
+        query: &NormalizedQuery,
+        sig: &[usize],
+    ) -> QueryOutcome {
+        let stats = collection.stats();
+        let eligible = index_only_eligible(query);
+        let base = self.atom_base[qi];
+        let mut picked = std::mem::take(&mut self.picked);
+        picked.clear();
+        for (a, atom) in query.atoms.iter().enumerate() {
+            let drives = drives_access(atom);
+            let only = eligible && a == 0;
+            if !drives && !only {
+                continue;
+            }
+            // Merge the atom's slots with the signature (both ascending).
+            let span = self.spans[base + a].clone();
+            let mut pos = 0;
+            for s in span {
+                let node = self.slots[s].node;
+                while pos < sig.len() && sig[pos] < node {
+                    pos += 1;
+                }
+                if pos == sig.len() {
+                    break;
+                }
+                if sig[pos] != node {
+                    continue;
+                }
+                let facts =
+                    *self.facts[base + a].get_or_insert_with(|| AtomFacts::new(stats, atom));
+                let def = &self.defs[node];
+                let nf = self.nodes[node].get_or_insert_with(|| {
+                    let paths = stats.paths_matching(&def.pattern);
+                    let istats = IndexStats::estimate(stats, &paths, def.data_type);
+                    NodeFacts { paths, istats }
+                });
+                let slot = &mut self.slots[s];
+                if drives && slot.leg.is_none() {
+                    let key_sel = (!slot.matched.structural_only).then(|| {
+                        let (op, lit) = atom.value.as_ref().expect("sargable implies value");
+                        stats.selectivity_in(&nf.paths, *op, lit)
+                    });
+                    slot.leg = Some(cost_leg(
+                        model,
+                        def,
+                        a,
+                        slot.matched,
+                        &nf.istats,
+                        &facts,
+                        key_sel,
+                    ));
+                }
+                if only && slot.only.is_none() {
+                    slot.only = Some(index_only_leg(model, def, slot.matched, &nf.istats, &facts));
+                }
+                picked.push((a, s));
+            }
+        }
+        let frame = *self.frames[qi].get_or_insert_with(|| QueryFrame::new(stats, model, query));
+
+        // Per atom, the best leg over the signature in node (= catalog)
+        // order, exactly as `optimize` folds over its catalog.
+        let mut best: Vec<Option<&IndexLeg>> = vec![None; query.atoms.len()];
+        let mut only: Vec<&IndexLeg> = Vec::new();
+        for (a, atom) in query.atoms.iter().enumerate() {
+            let of_atom = picked
+                .iter()
+                .filter(|&&(pa, _)| pa == a)
+                .map(|&(_, s)| &self.slots[s]);
+            if drives_access(atom) {
+                best[a] = best_leg(of_atom.clone().filter_map(|s| s.leg.as_ref()), model);
+            }
+            if eligible && a == 0 {
+                only.extend(of_atom.filter_map(|s| s.only.as_ref()));
+            }
+        }
+        let plan = assemble(model, &frame, query, &best, &only);
+        let outcome = QueryOutcome {
+            cost: plan.cost.total(),
+            used: plan.legs().iter().map(|l| l.index.0 as usize).collect(),
+        };
+        self.picked = picked;
+        outcome
+    }
 }
 
 /// The what-if evaluation engine. Holds the workload, the candidate DAG
@@ -174,28 +471,31 @@ pub struct WhatIfEngine<'a> {
     queries: Vec<NormalizedQuery>,
     freqs: Vec<f64>,
     updates: Vec<(&'a Document, f64)>,
-    /// Atom universe for the coverage bitmap: one entry per required atom
-    /// of every workload query, plus atoms from disjunctive (OR) groups.
-    pub(crate) atoms: Vec<PathPredicate>,
+    /// Size of the atom universe: one position per access-driving atom
+    /// (required, or in an OR group) of every workload query.
+    pub(crate) universe: usize,
     /// For each universe atom: `Some((query, group, branch))` when it
     /// belongs to an OR group of that query.
     atom_or: Vec<Option<(usize, u32, u32)>>,
-    /// coverage[node] = bitmask over `atoms` this candidate can serve.
-    pub(crate) coverage: Vec<u128>,
+    /// coverage[node] = the universe atoms this candidate can serve.
+    pub(crate) coverage: Vec<AtomSet>,
     /// relevant[query][node]: does the candidate match any atom of the
     /// query? Exact — the optimizer consults an index only through
     /// `match_index` against atom predicates, so a non-matching index
     /// cannot influence the query's plan or cost.
     relevant: Vec<Vec<bool>>,
-    /// Per-query memo keyed by (query, chosen ∩ relevant[query]).
-    query_cache: HashMap<(usize, Vec<usize>), QueryOutcome>,
+    legs: LegTable,
+    /// Per-query memo keyed by chosen ∩ relevant[query].
+    query_cache: Vec<NodeMap<QueryOutcome>>,
     /// Whole-configuration cost memo keyed by the normalized chosen set.
-    config_cache: HashMap<Vec<usize>, f64>,
+    config_cache: NodeMap<f64>,
     /// maint[update][node]: nodes of the update document the candidate
     /// pattern reaches. Filled lazily, each entry computed at most once.
     maint: Vec<Vec<Option<usize>>>,
     per_query_cache: bool,
-    threads: usize,
+    /// Scratch buffers reused by every `cost` call.
+    sig: Vec<usize>,
+    costs: Vec<f64>,
     stats: EvalStats,
 }
 
@@ -216,42 +516,45 @@ impl<'a> WhatIfEngine<'a> {
             freqs.push(f);
         }
         let updates: Vec<(&'a Document, f64)> = workload.updates().collect();
-        let mut atoms = Vec::new();
+        let threads = config.resolved_threads();
+        let legs = LegTable::build(dag, &queries, threads);
+        let n = dag.nodes.len();
         let mut atom_or = Vec::new();
+        let mut coverage = vec![AtomSet::default(); n];
+        let mut relevant = vec![vec![false; n]; queries.len()];
         for (qi, q) in queries.iter().enumerate() {
-            for atom in &q.atoms {
-                let relevant = atom.required || atom.or_group.is_some();
-                if relevant && atoms.len() < 128 {
-                    atoms.push(atom_predicate(atom));
+            for (a, atom) in q.atoms.iter().enumerate() {
+                let universe_pos = drives_access(atom).then(|| {
                     atom_or.push(atom.or_group.map(|(g, b)| (qi, g, b)));
+                    atom_or.len() - 1
+                });
+                for slot in legs.atom_slots(qi, a) {
+                    relevant[qi][slot.node] = true;
+                    if let Some(k) = universe_pos {
+                        coverage[slot.node].insert(k);
+                    }
                 }
             }
         }
-        let threads = config.resolved_threads();
-        let per_node = node_properties(dag, &queries, &atoms, threads);
-        let coverage: Vec<u128> = per_node.iter().map(|(c, _)| *c).collect();
-        // Transpose node-major relevance into query-major for signature
-        // extraction (`chosen` is filtered per query).
-        let relevant: Vec<Vec<bool>> = (0..queries.len())
-            .map(|qi| per_node.iter().map(|(_, r)| r[qi]).collect())
-            .collect();
-        let maint = vec![vec![None; dag.nodes.len()]; updates.len()];
+        let maint = vec![vec![None; n]; updates.len()];
         WhatIfEngine {
             collection,
             model,
             dag,
+            query_cache: (0..queries.len()).map(|_| NodeMap::default()).collect(),
             queries,
             freqs,
             updates,
-            atoms,
+            universe: atom_or.len(),
             atom_or,
             coverage,
             relevant,
-            query_cache: HashMap::new(),
-            config_cache: HashMap::new(),
+            legs,
+            config_cache: NodeMap::default(),
             maint,
             per_query_cache: config.per_query_cache,
-            threads,
+            sig: Vec::new(),
+            costs: Vec::new(),
             stats: EvalStats {
                 threads,
                 ..EvalStats::default()
@@ -264,21 +567,25 @@ impl<'a> WhatIfEngine<'a> {
         &self.stats
     }
 
-    /// OR groups as lists of per-branch universe-atom bitmasks:
-    /// one entry per (query, group), holding each branch's atom mask.
-    pub(crate) fn or_groups(&self) -> Vec<Vec<u128>> {
+    /// OR groups as lists of per-branch universe-atom sets: one entry
+    /// per (query, group), holding each branch's atoms.
+    pub(crate) fn or_groups(&self) -> Vec<Vec<AtomSet>> {
         let mut map: std::collections::BTreeMap<
             (usize, u32),
-            std::collections::BTreeMap<u32, u128>,
+            std::collections::BTreeMap<u32, AtomSet>,
         > = Default::default();
-        for (i, tag) in self.atom_or.iter().enumerate() {
+        for (k, tag) in self.atom_or.iter().enumerate() {
             if let Some((qi, g, b)) = tag {
-                *map.entry((*qi, *g)).or_default().entry(*b).or_insert(0) |= 1u128 << i;
+                map.entry((*qi, *g))
+                    .or_default()
+                    .entry(*b)
+                    .or_default()
+                    .insert(k);
             }
         }
         map.into_values()
             .map(|branches| branches.into_values().collect())
-            .filter(|branches: &Vec<u128>| branches.len() >= 2)
+            .filter(|branches: &Vec<AtomSet>| branches.len() >= 2)
             .collect()
     }
 
@@ -302,8 +609,13 @@ impl<'a> WhatIfEngine<'a> {
             return c;
         }
         let total = if self.per_query_cache {
-            let per = self.per_query_outcomes(&key);
-            let queries: f64 = per.iter().zip(&self.freqs).map(|(q, f)| q.cost * f).sum();
+            let mut costs = std::mem::take(&mut self.costs);
+            costs.clear();
+            for qi in 0..self.queries.len() {
+                costs.push(self.outcome(qi, &key).cost);
+            }
+            let queries: f64 = costs.iter().zip(&self.freqs).map(|(c, f)| c * f).sum();
+            self.costs = costs;
             queries + self.maintenance_cost(&key)
         } else {
             self.straight_line_cost(&key)
@@ -319,106 +631,40 @@ impl<'a> WhatIfEngine<'a> {
         let key = normalize(chosen);
         let start = Instant::now();
         let result = if self.per_query_cache {
-            let per = self.per_query_outcomes(&key);
-            (
-                per.iter().map(|q| q.cost).collect(),
-                per.into_iter().map(|q| q.used).collect(),
-            )
+            (0..self.queries.len())
+                .map(|qi| {
+                    let out = self.outcome(qi, &key);
+                    (out.cost, out.used.clone())
+                })
+                .unzip()
         } else {
-            let defs = defs_for(self.dag, &key);
-            let eval = evaluate_indexes(self.collection, self.model, &defs, &self.queries);
             self.stats.whatif_calls += self.queries.len() as u64;
-            (
-                eval.per_query.iter().map(|q| q.cost.total()).collect(),
-                eval.per_query
-                    .iter()
-                    .map(|q| q.used_indexes.iter().map(|id| id.0 as usize).collect())
-                    .collect(),
-            )
+            reference_detail(self.collection, self.model, self.dag, &self.queries, &key)
         };
         self.stats.wall += start.elapsed();
         result
     }
 
-    /// Per-query outcomes for a normalized configuration, through the
-    /// signature cache. Misses are optimized in parallel; the returned
-    /// vector is in workload query order regardless of completion order.
-    fn per_query_outcomes(&mut self, key: &[usize]) -> Vec<QueryOutcome> {
-        let sigs: Vec<Vec<usize>> = (0..self.queries.len())
-            .map(|qi| {
-                key.iter()
-                    .copied()
-                    .filter(|&i| self.relevant[qi][i])
-                    .collect()
-            })
-            .collect();
-        let mut misses: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (qi, sig) in sigs.iter().enumerate() {
-            if self.query_cache.contains_key(&(qi, sig.clone())) {
-                self.stats.query_cache_hits += 1;
-            } else {
-                self.stats.query_cache_misses += 1;
-                misses.push((qi, sig.clone()));
-            }
+    /// Query `qi`'s outcome under the normalized configuration `key`,
+    /// through the signature cache: looked up by slice, priced from the
+    /// leg table on a miss.
+    fn outcome(&mut self, qi: usize, key: &[usize]) -> &QueryOutcome {
+        let mut sig = std::mem::take(&mut self.sig);
+        sig.clear();
+        sig.extend(key.iter().copied().filter(|&i| self.relevant[qi][i]));
+        let hit = self.query_cache[qi].contains_key(sig.as_slice());
+        if hit {
+            self.stats.query_cache_hits += 1;
+        } else {
+            self.stats.query_cache_misses += 1;
+            self.stats.whatif_calls += 1;
+            let out = self
+                .legs
+                .price(self.collection, self.model, qi, &self.queries[qi], &sig);
+            self.query_cache[qi].insert(sig.clone(), out);
         }
-        self.stats.whatif_calls += misses.len() as u64;
-        for (qi, sig, out) in self.evaluate_misses(misses) {
-            self.query_cache.insert((qi, sig), out);
-        }
-        sigs.into_iter()
-            .enumerate()
-            .map(|(qi, sig)| self.query_cache[&(qi, sig)].clone())
-            .collect()
-    }
-
-    /// Optimize the missed (query, signature) pairs, fanning out across
-    /// scoped threads when there is enough work to share.
-    fn evaluate_misses(
-        &self,
-        misses: Vec<(usize, Vec<usize>)>,
-    ) -> Vec<(usize, Vec<usize>, QueryOutcome)> {
-        let workers = self.threads.min(misses.len());
-        if workers <= 1 {
-            return misses
-                .into_iter()
-                .map(|(qi, sig)| {
-                    let out = eval_one(
-                        self.collection,
-                        self.model,
-                        self.dag,
-                        &self.queries[qi],
-                        &sig,
-                    );
-                    (qi, sig, out)
-                })
-                .collect();
-        }
-        let (collection, model, dag) = (self.collection, self.model, self.dag);
-        let queries = &self.queries;
-        let mut buckets: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); workers];
-        for (n, m) in misses.into_iter().enumerate() {
-            buckets[n % workers].push(m);
-        }
-        let mut out = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|bucket| {
-                    s.spawn(move || {
-                        bucket
-                            .into_iter()
-                            .map(|(qi, sig)| {
-                                let o = eval_one(collection, model, dag, &queries[qi], &sig);
-                                (qi, sig, o)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("what-if worker panicked"));
-            }
-        });
+        let out = &self.query_cache[qi][sig.as_slice()];
+        self.sig = sig;
         out
     }
 
@@ -459,30 +705,16 @@ impl<'a> WhatIfEngine<'a> {
     /// call plus a fresh maintenance walk. Used when the per-query cache
     /// is disabled so benchmarks compare against the original behavior.
     fn straight_line_cost(&mut self, key: &[usize]) -> f64 {
-        let defs = defs_for(self.dag, key);
-        let eval = evaluate_indexes(self.collection, self.model, &defs, &self.queries);
         self.stats.whatif_calls += self.queries.len() as u64;
-        let total: f64 = eval
-            .per_query
-            .iter()
-            .zip(&self.freqs)
-            .map(|(q, f)| q.cost.total() * f)
-            .sum();
-        // Maintenance accumulates separately and is added once, matching
-        // the cached path's summation order bit for bit.
-        let mut maint = 0.0;
-        for (sample, freq) in &self.updates {
-            for &i in key {
-                let c = &self.dag.nodes[i].candidate;
-                let touched = nodes_matching(sample, &c.pattern);
-                if touched > 0 {
-                    maint += freq
-                        * (self.model.random_io
-                            + touched as f64 * (self.model.cpu_maintain + self.model.cpu_entry));
-                }
-            }
-        }
-        total + maint
+        reference_cost(
+            self.collection,
+            self.model,
+            self.dag,
+            &self.queries,
+            &self.freqs,
+            &self.updates,
+            key,
+        )
     }
 }
 
@@ -496,75 +728,6 @@ fn defs_for(dag: &Dag, chosen: &[usize]) -> Vec<IndexDefinition> {
             IndexDefinition::virtual_index(IndexId(i as u32), c.pattern.clone(), c.data_type)
         })
         .collect()
-}
-
-/// Optimize one query under its relevant-index signature.
-fn eval_one(
-    collection: &Collection,
-    model: &CostModel,
-    dag: &Dag,
-    query: &NormalizedQuery,
-    sig: &[usize],
-) -> QueryOutcome {
-    let defs = defs_for(dag, sig);
-    let eval = evaluate_query(collection, model, &defs, query);
-    QueryOutcome {
-        cost: eval.cost.total(),
-        used: eval.used_indexes.iter().map(|id| id.0 as usize).collect(),
-    }
-}
-
-/// Per-node coverage mask and per-query relevance, computed in one pass
-/// over the DAG (parallelized when the DAG is big enough to be worth it).
-fn node_properties(
-    dag: &Dag,
-    queries: &[NormalizedQuery],
-    atoms: &[PathPredicate],
-    threads: usize,
-) -> Vec<(u128, Vec<bool>)> {
-    let one = |i: usize| -> (u128, Vec<bool>) {
-        let n = &dag.nodes[i];
-        let def = IndexDefinition::virtual_index(
-            IndexId(0),
-            n.candidate.pattern.clone(),
-            n.candidate.data_type,
-        );
-        let mask = atoms
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| match_index(&def, a).is_some())
-            .fold(0u128, |m, (k, _)| m | (1 << k));
-        let rel = queries
-            .iter()
-            .map(|q| {
-                q.atoms
-                    .iter()
-                    .any(|a| match_index(&def, &atom_predicate(a)).is_some())
-            })
-            .collect();
-        (mask, rel)
-    };
-    let n = dag.nodes.len();
-    let workers = threads.min(n.div_ceil(16).max(1));
-    if workers <= 1 {
-        return (0..n).map(one).collect();
-    }
-    let chunk = n.div_ceil(workers);
-    let mut out = Vec::with_capacity(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                let one = &one;
-                s.spawn(move || (lo..hi).map(one).collect::<Vec<_>>())
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("precompute worker panicked"));
-        }
-    });
-    out
 }
 
 /// Count nodes of `doc` a pattern reaches (update maintenance estimate).

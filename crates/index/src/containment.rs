@@ -51,6 +51,24 @@ pub fn contains(general: &LinearPath, specific: &LinearPath) -> bool {
     if general.len() > MAX_STEPS {
         return false;
     }
+    // A label test of `general` can only accept a label `specific`
+    // spells out: `specific` has a word made of its own labels plus
+    // fresh symbols (wildcards fresh, descendant gaps empty), and a
+    // label missing from it rejects that word. Most candidate × query
+    // pairs fail here, before the memo table is built.
+    let spelled = |l: &str| {
+        specific
+            .steps
+            .iter()
+            .any(|s| matches!(&s.test, PathTest::Label(m) if &**m == l))
+    };
+    if general
+        .steps
+        .iter()
+        .any(|s| matches!(&s.test, PathTest::Label(l) if !spelled(l)))
+    {
+        return false;
+    }
     let mut ck = Checker {
         p: &general.steps,
         memo: HashMap::new(),

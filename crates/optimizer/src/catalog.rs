@@ -8,7 +8,7 @@
 //! identically; only the executor insists on physical indexes.
 
 use xia_index::{DataType, IndexDefinition};
-use xia_storage::Collection;
+use xia_storage::{Collection, CollectionStats, PathId};
 use xia_xpath::LinearPath;
 
 /// Per-index statistics the cost model needs, sourced either from the
@@ -102,13 +102,21 @@ impl<'a> Catalog<'a> {
     /// Statistics-based estimate for a hypothetical index on `pattern`.
     pub fn estimate_stats(&self, pattern: &LinearPath, ty: DataType) -> IndexStats {
         let stats = self.collection.stats();
-        let entries = stats.estimated_index_entries(pattern, ty);
-        let pages = stats.estimated_index_pages(pattern, ty);
+        IndexStats::estimate(stats, &stats.paths_matching(pattern), ty)
+    }
+}
+
+impl IndexStats {
+    /// Estimate for a hypothetical index of type `ty` over the dictionary
+    /// paths `paths` (its pattern's `paths_matching`).
+    pub fn estimate(stats: &CollectionStats, paths: &[PathId], ty: DataType) -> IndexStats {
+        let entries = stats.estimated_index_entries_in(paths, ty);
+        let pages = stats.estimated_index_pages_in(paths, ty);
         IndexStats {
             entries,
             pages,
             btree_levels: ((pages as f64).log(200.0).ceil() as u64).max(1),
-            distinct_keys: stats.distinct_matching(pattern, ty),
+            distinct_keys: stats.distinct_matching_in(paths, ty),
         }
     }
 }

@@ -141,8 +141,9 @@ pub fn evaluate_indexes(
 ///
 /// Each query is optimized independently of the rest of the workload, so
 /// a whole-workload evaluation decomposes exactly into per-query calls —
-/// the unit the advisor's what-if engine memoizes and fans out across
-/// threads. Identical to the corresponding entry of [`evaluate_indexes`].
+/// the unit the advisor's what-if engine memoizes (it prices each one
+/// from cached legs with the same [`crate::assemble`]). Identical to the
+/// corresponding entry of [`evaluate_indexes`].
 pub fn evaluate_query(
     collection: &Collection,
     model: &CostModel,

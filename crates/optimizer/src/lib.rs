@@ -28,7 +28,7 @@ pub mod optimize;
 pub mod plan;
 pub mod profile;
 
-pub use catalog::Catalog;
+pub use catalog::{Catalog, IndexStats};
 pub use cost::{CostModel, QueryCost};
 pub use exec::{run_batch, BatchOp, BatchPlan, BatchProfile, OpStats};
 pub use executor::{choose_mode, execute, execute_mode, execute_navigational, ExecMode, ExecStats};
@@ -36,6 +36,9 @@ pub use explain::{
     enumerate_indexes, evaluate_indexes, evaluate_query, explain, CandidateIndex,
     ConfigurationCost, Explain, QueryEvaluation,
 };
-pub use optimize::{atom_predicate, optimize};
+pub use optimize::{
+    assemble, atom_predicate, best_leg, cost_leg, drives_access, index_only_eligible,
+    index_only_leg, optimize, Assembled, AtomFacts, QueryFrame,
+};
 pub use plan::{AccessPath, IndexLeg, Plan};
 pub use profile::{profile_execute, OperatorStat, Profile, ProfileNode};

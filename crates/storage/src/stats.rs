@@ -519,34 +519,46 @@ impl CollectionStats {
         (self.total_bytes / crate::PAGE_SIZE as u64).max(1)
     }
 
-    /// Dictionary paths matched by a pattern.
+    /// Dictionary paths matched by a pattern, in `PathId` order.
+    ///
+    /// Every pattern-taking estimate below is this scan followed by its
+    /// `_in` form over the returned set, so a caller that asks many
+    /// questions about one pattern can scan once and reuse the set.
     pub fn paths_matching(&self, pattern: &LinearPath) -> Vec<PathId> {
         self.entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| {
-                let labels: Vec<&str> = e.labels.iter().map(|l| &**l).collect();
-                pattern.matches_label_path(&labels, e.is_attribute)
-            })
+            .filter(|(_, e)| pattern.matches_label_path(&e.labels, e.is_attribute))
             .map(|(i, _)| PathId(i as u32))
             .collect()
     }
 
+    fn path_stats(&self, p: PathId) -> &PathStats {
+        &self.entries[p.0 as usize].stats
+    }
+
     /// Number of nodes a pattern reaches.
     pub fn count_matching(&self, pattern: &LinearPath) -> u64 {
-        self.paths_matching(pattern)
-            .iter()
-            .map(|&p| self.entries[p.0 as usize].stats.count)
-            .sum()
+        self.count_matching_in(&self.paths_matching(pattern))
+    }
+
+    /// [`Self::count_matching`] over an already-matched path set.
+    pub fn count_matching_in(&self, paths: &[PathId]) -> u64 {
+        paths.iter().map(|&p| self.path_stats(p).count).sum()
     }
 
     /// Number of entries a (virtual) index on `pattern` would hold —
     /// DOUBLE indexes skip non-numeric values.
     pub fn estimated_index_entries(&self, pattern: &LinearPath, ty: DataType) -> u64 {
-        self.paths_matching(pattern)
+        self.estimated_index_entries_in(&self.paths_matching(pattern), ty)
+    }
+
+    /// [`Self::estimated_index_entries`] over an already-matched path set.
+    pub fn estimated_index_entries_in(&self, paths: &[PathId], ty: DataType) -> u64 {
+        paths
             .iter()
             .map(|&p| {
-                let s = &self.entries[p.0 as usize].stats;
+                let s = self.path_stats(p);
                 match ty {
                     DataType::Varchar => s.count,
                     DataType::Double => s.values.numeric_total(),
@@ -559,11 +571,16 @@ impl CollectionStats {
     /// same per-entry model as the physical index layer so virtual and
     /// actual sizes are comparable.
     pub fn estimated_index_bytes(&self, pattern: &LinearPath, ty: DataType) -> u64 {
+        self.estimated_index_bytes_in(&self.paths_matching(pattern), ty)
+    }
+
+    /// [`Self::estimated_index_bytes`] over an already-matched path set.
+    pub fn estimated_index_bytes_in(&self, paths: &[PathId], ty: DataType) -> u64 {
         const ENTRY_OVERHEAD: u64 = 12;
-        self.paths_matching(pattern)
+        paths
             .iter()
             .map(|&p| {
-                let s = &self.entries[p.0 as usize].stats;
+                let s = self.path_stats(p);
                 match ty {
                     DataType::Varchar => {
                         let avg = s.byte_len_sum.checked_div(s.count).unwrap_or(0);
@@ -577,7 +594,12 @@ impl CollectionStats {
 
     /// Estimated pages of a (virtual) index on `pattern`.
     pub fn estimated_index_pages(&self, pattern: &LinearPath, ty: DataType) -> u64 {
-        self.estimated_index_bytes(pattern, ty)
+        self.estimated_index_pages_in(&self.paths_matching(pattern), ty)
+    }
+
+    /// [`Self::estimated_index_pages`] over an already-matched path set.
+    pub fn estimated_index_pages_in(&self, paths: &[PathId], ty: DataType) -> u64 {
+        self.estimated_index_bytes_in(paths, ty)
             .div_ceil(crate::PAGE_SIZE as u64)
             .max(1)
     }
@@ -585,17 +607,18 @@ impl CollectionStats {
     /// Selectivity of `op literal` among nodes matching `pattern`
     /// (occurrence-weighted across matching dictionary paths).
     pub fn selectivity(&self, pattern: &LinearPath, op: CmpOp, lit: &Literal) -> f64 {
-        let paths = self.paths_matching(pattern);
-        let total: u64 = paths
-            .iter()
-            .map(|&p| self.entries[p.0 as usize].stats.count)
-            .sum();
+        self.selectivity_in(&self.paths_matching(pattern), op, lit)
+    }
+
+    /// [`Self::selectivity`] over an already-matched path set.
+    pub fn selectivity_in(&self, paths: &[PathId], op: CmpOp, lit: &Literal) -> f64 {
+        let total = self.count_matching_in(paths);
         if total == 0 {
             return 0.0;
         }
         let mut selected = 0.0;
-        for &p in &paths {
-            let s = &self.entries[p.0 as usize].stats;
+        for &p in paths {
+            let s = self.path_stats(p);
             selected += s.values.selectivity(op, lit, s.count) * s.count as f64;
         }
         (selected / total as f64).clamp(0.0, 1.0)
@@ -604,9 +627,14 @@ impl CollectionStats {
     /// Distinct values among nodes matching `pattern` (summed across
     /// paths; an upper bound since paths may share values).
     pub fn distinct_matching(&self, pattern: &LinearPath, ty: DataType) -> u64 {
-        self.paths_matching(pattern)
+        self.distinct_matching_in(&self.paths_matching(pattern), ty)
+    }
+
+    /// [`Self::distinct_matching`] over an already-matched path set.
+    pub fn distinct_matching_in(&self, paths: &[PathId], ty: DataType) -> u64 {
+        paths
             .iter()
-            .map(|&p| self.entries[p.0 as usize].stats.values.distinct(ty))
+            .map(|&p| self.path_stats(p).values.distinct(ty))
             .sum()
     }
 }

@@ -223,7 +223,7 @@ impl LinearPath {
     /// Matching is standard path-regex matching with `//` ≡ `Σ*` and
     /// `*` ≡ any single label, implemented with the classic two-pointer
     /// backtracking that is linear in practice.
-    pub fn matches_label_path(&self, labels: &[&str], is_attr_leaf: bool) -> bool {
+    pub fn matches_label_path<S: AsRef<str>>(&self, labels: &[S], is_attr_leaf: bool) -> bool {
         if self.targets_attribute() != is_attr_leaf {
             return false;
         }
@@ -236,23 +236,33 @@ impl LinearPath {
                     .steps
                     .iter()
                     .zip(labels)
-                    .all(|(s, l)| s.test.accepts(l));
+                    .all(|(s, l)| s.test.accepts(l.as_ref()));
         }
         matches_at(&self.steps, labels)
     }
 }
 
+/// Memo cells kept on the stack; larger step × label grids allocate.
+const STACK_MEMO: usize = 64;
+
 /// Greedy wildcard matching: steps vs concrete labels.
-fn matches_at(steps: &[LinearStep], labels: &[&str]) -> bool {
+fn matches_at<S: AsRef<str>>(steps: &[LinearStep], labels: &[S]) -> bool {
     // dp[i][j] = steps[i..] matches labels[j..] as an anchored suffix match.
-    // Memoized recursion over small paths; typical sizes are < 10 so a
-    // simple bitset-free Vec<Option<bool>> suffices.
+    // Memoized recursion over small paths; typical grids fit on the stack.
     let n = steps.len();
     let m = labels.len();
-    let mut memo = vec![u8::MAX; (n + 1) * (m + 1)];
-    fn rec(
+    let cells = (n + 1) * (m + 1);
+    let mut stack = [u8::MAX; STACK_MEMO];
+    let mut heap = Vec::new();
+    let memo: &mut [u8] = if cells <= STACK_MEMO {
+        &mut stack[..cells]
+    } else {
+        heap.resize(cells, u8::MAX);
+        &mut heap
+    };
+    fn rec<S: AsRef<str>>(
         steps: &[LinearStep],
-        labels: &[&str],
+        labels: &[S],
         i: usize,
         j: usize,
         memo: &mut [u8],
@@ -269,14 +279,15 @@ fn matches_at(steps: &[LinearStep], labels: &[&str]) -> bool {
             match step.axis {
                 PathAxis::Child => {
                     j < labels.len()
-                        && step.test.accepts(labels[j])
+                        && step.test.accepts(labels[j].as_ref())
                         && rec(steps, labels, i + 1, j + 1, memo, m)
                 }
                 PathAxis::Descendant => {
                     // `//t` consumes >= 0 intermediate labels then one
                     // label accepted by `t`.
                     (j..labels.len()).any(|k| {
-                        step.test.accepts(labels[k]) && rec(steps, labels, i + 1, k + 1, memo, m)
+                        step.test.accepts(labels[k].as_ref())
+                            && rec(steps, labels, i + 1, k + 1, memo, m)
                     })
                 }
             }
@@ -284,7 +295,7 @@ fn matches_at(steps: &[LinearStep], labels: &[&str]) -> bool {
         memo[key] = res as u8;
         res
     }
-    rec(steps, labels, 0, 0, &mut memo, m)
+    rec(steps, labels, 0, 0, memo, m)
 }
 
 impl fmt::Display for LinearPath {
@@ -398,7 +409,7 @@ mod tests {
         assert!(p.is_any());
         assert!(p.matches_label_path(&["x"], false));
         assert!(p.matches_label_path(&["a", "b", "c"], false));
-        assert!(!p.matches_label_path(&[], false));
+        assert!(!p.matches_label_path::<&str>(&[], false));
         assert!(!p.matches_label_path(&["a", "id"], true)); // attribute leaf
     }
 

@@ -52,6 +52,14 @@ run_hard cargo test -q --offline -p xia-storage --test crash_matrix
 # the recompile-everything reference bit for bit (snapshot entries,
 # counters, change stamps) over seeded observe/decay/restore sequences.
 run_hard cargo test -q --offline -p xia-workload --lib stored_key_eviction_matches_the_recompiling_reference
+# The what-if differential by name: every configuration a greedy walk
+# costs (plus tied candidates, random subsets and the whole DAG, on two
+# seeds) prices bit for bit as the straight-line optimizer reference,
+# with AND, OR and index-only plans all exercised.
+run_hard cargo test -q --offline -p xia-advisor --test whatif_differential
+# The wide-workload coverage regression by name: a candidate serving only
+# atoms past the 128th must still be seen by the greedy step.
+run_hard cargo test -q --offline -p xia-advisor --lib greedy_sees_atoms_past_the_128th
 # The document footprint by name: a parsed INSERT body holds a few
 # compact blocks, and `byte_size()` (the cost model's page input) keeps
 # its exact values.
@@ -279,6 +287,29 @@ check_eviction_no_compile() {
   fi
 }
 check_eviction_no_compile
+
+# A what-if miss is arithmetic over legs cached per engine: whatif.rs
+# reaches the optimizer's planning entry points only from the
+# straight-line reference (`reference_*`, `straight_line_cost`) and its
+# unit tests, never from the cached path the search runs.
+check_whatif_no_optimizer() {
+  echo "==> grep: no optimizer run on the what-if cached path (core/src/whatif.rs)"
+  local hits
+  hits=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    match($0, /fn [A-Za-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    /^[[:space:]]*\/\// { next }
+    /(optimize|evaluate_query|evaluate_indexes)\(/ && fn !~ /^(reference_|straight_line_cost$)/ {
+      print FILENAME":"FNR": "$0
+    }
+  ' crates/core/src/whatif.rs)
+  if [ -n "$hits" ]; then
+    echo "$hits"
+    echo "FAILED: crates/core/src/whatif.rs runs the optimizer outside the reference (see matches above)" >&2
+    failures=$((failures + 1))
+  fi
+}
+check_whatif_no_optimizer
 
 run_if_installed fmt cargo fmt --check
 run_if_installed clippy cargo clippy --offline --all-targets -- -D warnings
