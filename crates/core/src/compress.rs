@@ -37,28 +37,43 @@
 //! `advise-quality` invariant).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use xia_optimizer::CostModel;
 use xia_storage::Collection;
 use xia_xpath::Literal;
 use xia_xquery::NormalizedQuery;
 
+use crate::whatif::NodeHasher;
 use crate::workload::{Statement, StatementKind, Workload};
 
 /// Template key of a normalized query: everything the candidate
 /// generator and cost model can observe, with literal *values* erased
 /// (literal *types* kept — they decide a candidate's `DataType`).
 pub fn template_key(q: &NormalizedQuery) -> String {
+    atom_key(q, false)
+}
+
+/// Exact-form key: the template plus literal values.
+pub fn exact_key(q: &NormalizedQuery) -> String {
+    atom_key(q, true)
+}
+
+/// The collection, then every atom field, each literal as its value
+/// (`values`) or its type.
+fn atom_key(q: &NormalizedQuery, values: bool) -> String {
     use std::fmt::Write;
     let mut key = q.collection.clone();
     for a in &q.atoms {
         let _ = write!(key, "\u{1}{}", a.path);
         if let Some((op, lit)) = &a.value {
-            let ty = match lit {
-                Literal::Str(_) => "str",
-                Literal::Num(_) => "num",
-            };
-            let _ = write!(key, "\u{2}{op}\u{2}{ty}");
+            let _ = write!(key, "\u{2}{op}\u{2}");
+            match (lit, values) {
+                (lit, true) => write!(key, "{lit}"),
+                (Literal::Str(_), false) => write!(key, "str"),
+                (Literal::Num(_), false) => write!(key, "num"),
+            }
+            .expect("writing to a String");
         }
         let _ = write!(
             key,
@@ -72,16 +87,58 @@ pub fn template_key(q: &NormalizedQuery) -> String {
     key
 }
 
-/// Exact-form key: the template plus literal values — the same
-/// equivalence the monitor's normalized-form dedup uses.
-pub fn exact_key(q: &NormalizedQuery) -> String {
-    use std::fmt::Write;
-    let mut key = q.collection.clone();
-    for a in &q.atoms {
-        let _ = write!(key, "\u{1}{a}");
+/// A query borrowed as a hash key over the same fields as
+/// [`exact_key`] (`VALUES`) or [`template_key`], without formatting
+/// either: numeric literals compare by bit pattern, string literals by
+/// content.
+#[derive(Clone, Copy)]
+struct QueryForm<'q, const VALUES: bool>(&'q NormalizedQuery);
+
+impl<const VALUES: bool> QueryForm<'_, VALUES> {
+    /// Every atom field, the literal reduced to its type unless `VALUES`.
+    fn atoms(&self) -> impl Iterator<Item = impl Hash + Eq + '_> + '_ {
+        self.0.atoms.iter().map(|a| {
+            let value = a.value.as_ref().map(|(op, lit)| {
+                // `Ok` for a string, `Err` for a number: the literal's
+                // type is kept even when its value is erased.
+                let lit = match lit {
+                    Literal::Str(s) => Ok(VALUES.then_some(s.as_str())),
+                    Literal::Num(n) => Err(VALUES.then_some(n.to_bits())),
+                };
+                (*op, lit)
+            });
+            (
+                &a.path,
+                value,
+                a.required,
+                a.is_extraction,
+                a.exact,
+                a.or_group,
+            )
+        })
     }
-    key
 }
+
+impl<const VALUES: bool> PartialEq for QueryForm<'_, VALUES> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.collection == other.0.collection && self.atoms().eq(other.atoms())
+    }
+}
+
+impl<const VALUES: bool> Eq for QueryForm<'_, VALUES> {}
+
+impl<const VALUES: bool> Hash for QueryForm<'_, VALUES> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.collection.hash(state);
+        state.write_usize(self.0.atoms.len());
+        for atom in self.atoms() {
+            atom.hash(state);
+        }
+    }
+}
+
+type FormMap<'q, const VALUES: bool> =
+    HashMap<QueryForm<'q, VALUES>, usize, BuildHasherDefault<NodeHasher>>;
 
 /// One cluster of same-template queries.
 #[derive(Debug, Clone)]
@@ -163,14 +220,14 @@ pub fn compress(workload: &Workload) -> CompressedWorkload {
         weight: f64,
     }
     let mut variants: Vec<Variant> = Vec::new();
-    let mut by_exact: HashMap<String, usize> = HashMap::new();
+    let mut by_exact = FormMap::<true>::default();
     let mut raw_queries = 0usize;
     let mut updates: Vec<Statement> = Vec::new();
     for stmt in &workload.statements {
         match &stmt.kind {
             StatementKind::Query(q) => {
                 raw_queries += 1;
-                match by_exact.entry(exact_key(q)) {
+                match by_exact.entry(QueryForm(q)) {
                     std::collections::hash_map::Entry::Occupied(e) => {
                         variants[*e.get()].weight += stmt.frequency;
                     }
@@ -192,16 +249,14 @@ pub fn compress(workload: &Workload) -> CompressedWorkload {
     // Pass 2: cluster distinct variants by template, again in
     // first-occurrence order.
     struct Building {
-        template: String,
         rep: usize, // index into `variants`
         weight: f64,
         count: usize,
     }
     let mut clusters: Vec<Building> = Vec::new();
-    let mut by_template: HashMap<String, usize> = HashMap::new();
+    let mut by_template = FormMap::<false>::default();
     for (i, v) in variants.iter().enumerate() {
-        let key = template_key(v.query);
-        if let Some(&ci) = by_template.get(&key) {
+        if let Some(&ci) = by_template.get(&QueryForm(v.query)) {
             let c = &mut clusters[ci];
             c.weight += v.weight;
             c.count += 1;
@@ -211,9 +266,8 @@ pub fn compress(workload: &Workload) -> CompressedWorkload {
                 c.rep = i;
             }
         } else {
-            by_template.insert(key.clone(), clusters.len());
+            by_template.insert(QueryForm(v.query), clusters.len());
             clusters.push(Building {
-                template: key,
                 rep: i,
                 weight: v.weight,
                 count: 1,
@@ -232,7 +286,7 @@ pub fn compress(workload: &Workload) -> CompressedWorkload {
         total_weight += c.weight;
         compressed.add_compiled(rep.query.clone(), c.weight);
         out.push(TemplateCluster {
-            template: c.template.clone(),
+            template: template_key(rep.query),
             weight: c.weight,
             variants: c.count,
             residual_weight: residual,
@@ -280,6 +334,46 @@ mod tests {
         let freqs: Vec<f64> = cw.workload().queries().map(|(_, f)| f).collect();
         assert_eq!(freqs, vec![3.0, 2.0]);
         assert_eq!(cw.total_weight, 5.0);
+    }
+
+    #[test]
+    fn queries_that_differ_only_in_atom_flags_are_not_duplicates() {
+        // The trailing `text()` makes the extraction atom inexact (no
+        // index-only plan), so the two are priced differently and are
+        // neither duplicates nor one template.
+        let w = workload(&[
+            ("/site/regions/europe/item/name/text()", 1.0),
+            ("/site/regions/europe/item/name", 5.0),
+        ]);
+        let (inexact, exact) = {
+            let mut qs = w.queries().map(|(q, _)| q);
+            (qs.next().unwrap(), qs.next().unwrap())
+        };
+        assert_eq!(inexact.atoms.len(), exact.atoms.len());
+        assert_ne!(exact_key(inexact), exact_key(exact));
+        let cw = compress(&w);
+        assert_eq!(cw.distinct_queries, 2);
+        assert_eq!(cw.templates(), 2);
+        assert_eq!(cw.residual_weight, 0.0);
+        let reps: Vec<(&str, f64)> = cw
+            .workload()
+            .queries()
+            .map(|(q, f)| (q.text.as_str(), f))
+            .collect();
+        assert_eq!(
+            reps,
+            [
+                ("/site/regions/europe/item/name/text()", 1.0),
+                ("/site/regions/europe/item/name", 5.0)
+            ]
+        );
+        for c in &cw.clusters {
+            assert_eq!(c.template, template_key(&compile_one(&c.representative)));
+        }
+    }
+
+    fn compile_one(text: &str) -> NormalizedQuery {
+        workload(&[(text, 1.0)]).queries().next().unwrap().0.clone()
     }
 
     #[test]

@@ -217,9 +217,11 @@ impl AtomSet {
 /// indices: a multiply-rotate mix per word (the FxHash scheme), several
 /// times cheaper than SipHash on such keys. The keys come from the
 /// advisor's own DAG, not from callers, so no collision-resistance is
-/// needed.
+/// needed. Workload compression also hashes query forms with it; there
+/// the keys come from the workload being advised, whose size bounds
+/// what colliding keys could cost.
 #[derive(Default, Clone, Copy)]
-struct NodeHasher(u64);
+pub(crate) struct NodeHasher(u64);
 
 impl std::hash::Hasher for NodeHasher {
     fn write(&mut self, bytes: &[u8]) {

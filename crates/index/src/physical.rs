@@ -12,7 +12,7 @@ use crate::cow_map::CowMap;
 use crate::pattern::{DataType, IndexDefinition};
 use std::ops::Bound;
 use std::sync::Arc;
-use xia_xml::{Document, NodeId, NodeKind};
+use xia_xml::NodeId;
 
 /// Typed index key with a total order (NaNs are never stored).
 #[derive(Debug, Clone, PartialEq)]
@@ -39,6 +39,20 @@ impl Ord for IndexKey {
     }
 }
 
+impl IndexKey {
+    /// The key of a node whose string value is `value` in an index of
+    /// type `ty`; `None` when a DOUBLE index skips a non-numeric value.
+    pub fn of_value(value: &str, ty: DataType) -> Option<IndexKey> {
+        match ty {
+            DataType::Varchar => Some(IndexKey::Str(value.into())),
+            DataType::Double => {
+                let n = value.trim().parse::<f64>().ok()?;
+                (!n.is_nan()).then_some(IndexKey::Num(n))
+            }
+        }
+    }
+}
+
 impl PartialOrd for IndexKey {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
@@ -58,12 +72,24 @@ pub const PAGE_SIZE: usize = 4096;
 const ENTRY_OVERHEAD: usize = 12;
 
 /// A built XML pattern index.
+///
+/// Maintenance works from the collection's path dictionary: the index
+/// keeps the set of dictionary paths its pattern matches, so a node is
+/// indexed iff its path is in the set, a bit test. Each dictionary path
+/// is matched against the pattern once, when the index first sees it.
 #[derive(Debug, Clone)]
 pub struct PhysicalIndex {
     def: IndexDefinition,
     map: CowMap<IndexKey, Vec<Posting>>,
     entries: usize,
     key_bytes: usize,
+    /// Bitset over dictionary path ids: the paths the pattern matches.
+    /// Behind `Arc`, so a commit's clone shares it until a new
+    /// dictionary path matches.
+    paths: Arc<Vec<u64>>,
+    /// Dictionary entries matched into `paths` so far (a prefix: the
+    /// dictionary is append-only).
+    paths_seen: usize,
 }
 
 impl PhysicalIndex {
@@ -76,6 +102,8 @@ impl PhysicalIndex {
             map: CowMap::new(),
             entries: 0,
             key_bytes: 0,
+            paths: Arc::default(),
+            paths_seen: 0,
         }
     }
 
@@ -83,50 +111,52 @@ impl PhysicalIndex {
         &self.def
     }
 
-    /// Index every node of `doc` that the pattern reaches.
-    ///
-    /// Returns the number of entries added — the storage layer charges
-    /// update cost proportional to this.
-    pub fn insert_document(&mut self, doc_id: u32, doc: &Document) -> usize {
-        let mut added = 0;
-        let Some(root) = doc.root_element() else {
-            return 0;
-        };
-        let targets_attr = self.def.pattern.targets_attribute();
-        let mut labels: Vec<&str> = Vec::with_capacity(16);
-        for node in std::iter::once(root).chain(doc.descendants(root)) {
-            let kind = doc.kind(node);
-            let is_attr = kind == NodeKind::Attribute;
-            if kind == NodeKind::Text || is_attr != targets_attr {
-                continue;
-            }
-            labels.clear();
-            collect_labels(doc, node, &mut labels);
-            if !self.def.pattern.matches_label_path(&labels, is_attr) {
-                continue;
-            }
-            if let Some(key) = self.key_for(doc, node) {
-                self.key_bytes += key_len(&key);
-                self.map.upsert(&key, || key.clone()).push(Posting {
-                    doc: doc_id,
-                    node: node.as_u32(),
-                });
-                self.entries += 1;
-                added += 1;
-            }
-        }
-        added
+    /// Number of dictionary entries the path set covers: the caller
+    /// passes the entries from here on to [`Self::extend_paths`].
+    pub fn paths_seen(&self) -> usize {
+        self.paths_seen
     }
 
-    fn key_for(&self, doc: &Document, node: NodeId) -> Option<IndexKey> {
-        let value = doc.string_value(node);
-        match self.def.data_type {
-            DataType::Varchar => Some(IndexKey::Str(value.into())),
-            DataType::Double => {
-                let n = value.trim().parse::<f64>().ok()?;
-                (!n.is_nan()).then_some(IndexKey::Num(n))
+    /// Match the dictionary entries after the first [`Self::paths_seen`]
+    /// — each a label path and whether it ends in an attribute — against
+    /// the pattern, adding the ids of those it matches to the set.
+    pub fn extend_paths<'a, S: AsRef<str> + 'a>(
+        &mut self,
+        new_paths: impl IntoIterator<Item = (&'a [S], bool)>,
+    ) {
+        for (labels, is_attr) in new_paths {
+            let id = self.paths_seen;
+            self.paths_seen += 1;
+            if !self.def.pattern.matches_label_path(labels, is_attr) {
+                continue;
             }
+            let bits = Arc::make_mut(&mut self.paths);
+            if bits.len() <= id / 64 {
+                bits.resize(id / 64 + 1, 0);
+            }
+            bits[id / 64] |= 1 << (id % 64);
         }
+    }
+
+    /// Does the pattern match dictionary path `path`?
+    #[inline]
+    pub fn covers(&self, path: u32) -> bool {
+        let i = path as usize;
+        self.paths
+            .get(i / 64)
+            .is_some_and(|&word| word & (1 << (i % 64)) != 0)
+    }
+
+    /// Index `node` of document `doc_id` (a node whose path the index
+    /// covers) under `key`, its [`IndexKey::of_value`] for this index's
+    /// data type.
+    pub fn insert_entry(&mut self, doc_id: u32, node: NodeId, key: &IndexKey) {
+        self.key_bytes += key_len(key);
+        self.map.upsert(key, || key.clone()).push(Posting {
+            doc: doc_id,
+            node: node.as_u32(),
+        });
+        self.entries += 1;
     }
 
     /// Remove every entry of `doc_id` (document deletion / replacement).
@@ -198,10 +228,15 @@ impl PhysicalIndex {
         self.map.len()
     }
 
-    /// Postings-map leaves not shared with `base` (all of them without
-    /// one): what writing to a clone of `base` has copied.
+    /// Postings-map leaves and path set not shared with `base` (all of
+    /// them without one): what writing to a clone of `base` has copied.
     pub fn unshared_leaves(&self, base: Option<&PhysicalIndex>) -> usize {
-        base.map_or(self.map.leaf_count(), |b| self.map.unshared_leaves(&b.map))
+        match base {
+            Some(b) => {
+                self.map.unshared_leaves(&b.map) + usize::from(!Arc::ptr_eq(&self.paths, &b.paths))
+            }
+            None => self.map.leaf_count() + 1,
+        }
     }
 
     /// Estimated on-disk size in bytes (keys + per-entry overhead).
@@ -229,20 +264,79 @@ fn key_len(key: &IndexKey) -> usize {
     }
 }
 
-fn collect_labels<'d>(doc: &'d Document, node: NodeId, out: &mut Vec<&'d str>) {
-    let mut cur = Some(node);
-    while let Some(n) = cur {
-        out.push(doc.name(n));
-        cur = doc.parent(n);
-    }
-    out.reverse();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pattern::IndexId;
+    use xia_xml::{Document, NodeKind};
     use xia_xpath::LinearPath;
+
+    /// The reference walk these tests index a standalone document with:
+    /// each node's root-to-node labels matched against the pattern. A
+    /// collection maintains its indexes from the dictionary's path
+    /// column instead.
+    trait InsertDocument {
+        fn insert_document(&mut self, doc_id: u32, doc: &Document) -> usize;
+    }
+
+    impl InsertDocument for PhysicalIndex {
+        fn insert_document(&mut self, doc_id: u32, doc: &Document) -> usize {
+            let root = doc.root_element().unwrap();
+            let mut added = 0;
+            for node in std::iter::once(root).chain(doc.descendants(root)) {
+                let is_attr = doc.kind(node) == NodeKind::Attribute;
+                if doc.kind(node) == NodeKind::Text {
+                    continue;
+                }
+                let mut labels = Vec::new();
+                collect_labels(doc, node, &mut labels);
+                if !self.def.pattern.matches_label_path(&labels, is_attr) {
+                    continue;
+                }
+                let value = doc.string_value(node);
+                if let Some(key) = IndexKey::of_value(&value, self.def.data_type) {
+                    self.insert_entry(doc_id, node, &key);
+                    added += 1;
+                }
+            }
+            added
+        }
+    }
+
+    fn collect_labels<'d>(doc: &'d Document, node: NodeId, out: &mut Vec<&'d str>) {
+        let mut cur = Some(node);
+        while let Some(n) = cur {
+            out.push(doc.name(n));
+            cur = doc.parent(n);
+        }
+        out.reverse();
+    }
+
+    #[test]
+    fn the_path_set_grows_with_the_dictionary_and_is_shared_until_it_does() {
+        let def = IndexDefinition::new(
+            IndexId(1),
+            LinearPath::parse("//item/@id").unwrap(),
+            DataType::Varchar,
+        );
+        let mut ix = PhysicalIndex::build(def);
+        let dict: [(&[&str], bool); 3] = [
+            (&["site"], false),
+            (&["site", "item"], false),
+            (&["site", "item", "id"], true),
+        ];
+        ix.extend_paths(dict[..2].iter().copied());
+        assert_eq!(ix.paths_seen(), 2);
+        assert!(!ix.covers(0) && !ix.covers(1) && !ix.covers(2));
+        let before = ix.clone();
+        ix.extend_paths(dict[2..].iter().copied());
+        assert_eq!(ix.paths_seen(), 3);
+        assert!(ix.covers(2) && !ix.covers(70));
+        assert_eq!(ix.unshared_leaves(Some(&before)), 1, "the set was copied");
+        let shared = ix.clone();
+        ix.extend_paths([(&["other"][..], false)]);
+        assert_eq!(ix.unshared_leaves(Some(&shared)), 0, "no match, no copy");
+    }
 
     fn doc() -> Document {
         Document::parse(

@@ -126,7 +126,8 @@ proptest! {
 // Physical index vs navigational evaluation.
 // ---------------------------------------------------------------------------
 
-use xia_index::{DataType, IndexDefinition, IndexId, PhysicalIndex};
+use xia_index::{DataType, IndexDefinition, IndexId};
+use xia_storage::Collection;
 use xia_xml::DocumentBuilder;
 
 fn tree_doc() -> impl Strategy<Value = xia_xml::Document> {
@@ -166,8 +167,10 @@ proptest! {
     #[test]
     fn physical_index_agrees_with_evaluator(doc in tree_doc(), p in pattern()) {
         let def = IndexDefinition::new(IndexId(0), p.clone(), DataType::Varchar);
-        let mut ix = PhysicalIndex::build(def);
-        ix.insert_document(0, &doc);
+        let mut coll = Collection::new("t");
+        coll.insert(doc.clone());
+        coll.create_index(def);
+        let ix = coll.index(IndexId(0)).unwrap();
         let mut indexed: Vec<u32> = ix.scan().map(|po| po.node).collect();
         indexed.sort_unstable();
 

@@ -675,15 +675,16 @@ pub(crate) mod tests {
     /// silent full scan.
     #[test]
     fn probe_rejects_non_sargable_operators() {
-        let mut ix = PhysicalIndex::build(IndexDefinition::new(
+        let mut c = Collection::new("auctions");
+        c.insert(Document::parse("<site><item><name>x</name></item></site>").unwrap());
+        c.create_index(IndexDefinition::new(
             IndexId(7),
             LinearPath::parse("//item/name").unwrap(),
             DataType::Varchar,
         ));
-        let doc = Document::parse("<site><item><name>x</name></item></site>").unwrap();
-        ix.insert_document(0, &doc);
+        let ix = c.index(IndexId(7)).unwrap();
         for op in [CmpOp::Ne, CmpOp::Contains] {
-            let err = probe(&ix, op, &Literal::Str("x".into()), |_| {}).unwrap_err();
+            let err = probe(ix, op, &Literal::Str("x".into()), |_| {}).unwrap_err();
             assert!(err.0.contains("never sargable"), "{err}");
         }
     }

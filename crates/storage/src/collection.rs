@@ -1,9 +1,9 @@
 //! A collection of XML documents with maintained indexes and statistics.
 
-use crate::stats::CollectionStats;
+use crate::stats::{CollectionStats, PathId};
 use std::sync::Arc;
-use xia_index::{IndexDefinition, IndexId, PhysicalIndex};
-use xia_xml::Document;
+use xia_index::{DataType, IndexDefinition, IndexId, IndexKey, PhysicalIndex};
+use xia_xml::{Document, NodeId};
 
 /// Identifier of a document within a collection. Slots are never reused,
 /// so a `DocId` stays valid (but dead) after deletion.
@@ -64,14 +64,14 @@ impl Collection {
     /// (e.g. re-applying an op from another snapshot without copying).
     pub fn insert_arc(&mut self, doc: Arc<Document>) -> (DocId, UpdateReport) {
         let id = DocId(self.docs.len() as u32);
-        self.stats.add_document(&doc);
+        let paths = self.stats.add_document(&doc);
         let mut report = UpdateReport::default();
         for ix in &mut self.indexes {
-            let added = ix.insert_document(id.0, &doc);
-            report.index_entries_touched += added;
+            sync_paths(ix, &self.stats);
             report.indexes_touched += 1;
             report.nodes_matched += doc.node_count();
         }
+        report.index_entries_touched = index_document(&mut self.indexes, id.0, &doc, &paths);
         self.docs.push(Some(doc));
         (id, report)
     }
@@ -119,16 +119,13 @@ impl Collection {
     /// Build a physical index over the current contents.
     /// Returns the number of entries built.
     pub fn create_index(&mut self, def: IndexDefinition) -> usize {
-        let mut ix = PhysicalIndex::build(def);
+        let mut ix = [PhysicalIndex::build(def)];
+        sync_paths(&mut ix[0], &self.stats);
         let mut entries = 0;
-        for (id, doc) in self
-            .docs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, d)| d.as_deref().map(|doc| (i as u32, doc)))
-        {
-            entries += ix.insert_document(id, doc);
+        for (id, doc) in self.documents() {
+            entries += index_document(&mut ix, id.0, doc, &self.stats.path_column(doc));
         }
+        let [ix] = ix;
         self.indexes.push(ix);
         entries
     }
@@ -177,6 +174,52 @@ impl Collection {
                 .map(|ix| ix.page_count() as u64)
                 .sum::<u64>()
     }
+}
+
+/// Bring `ix`'s path set up to date with the dictionary's new entries.
+fn sync_paths(ix: &mut PhysicalIndex, stats: &CollectionStats) {
+    let new = &stats.entries()[ix.paths_seen()..];
+    if !new.is_empty() {
+        ix.extend_paths(new.iter().map(|e| (e.labels.as_slice(), e.is_attribute)));
+    }
+}
+
+/// Add the entries of document `doc_id` to `indexes`, given its path
+/// column: each node goes into every index whose path set holds the
+/// node's path. A node's value, and its key of each data type, are
+/// computed once for all the indexes that cover it. Returns the number
+/// of entries added.
+fn index_document(
+    indexes: &mut [PhysicalIndex],
+    doc_id: u32,
+    doc: &Document,
+    paths: &[PathId],
+) -> usize {
+    let mut added = 0;
+    for (raw, &path) in paths.iter().enumerate() {
+        if path == PathId::NONE {
+            continue;
+        }
+        let node = NodeId::from_u32(raw as u32);
+        let mut value = None;
+        let (mut varchar, mut double) = (None, None);
+        for ix in indexes.iter_mut().filter(|ix| ix.covers(path.0)) {
+            let ty = ix.definition().data_type;
+            let key = match ty {
+                DataType::Varchar => &mut varchar,
+                DataType::Double => &mut double,
+            }
+            .get_or_insert_with(|| {
+                let value = value.get_or_insert_with(|| doc.string_value_cow(node));
+                IndexKey::of_value(value, ty)
+            });
+            if let Some(key) = key {
+                ix.insert_entry(doc_id, node, key);
+                added += 1;
+            }
+        }
+    }
+    added
 }
 
 #[cfg(test)]

@@ -13,15 +13,22 @@
 //! dictionary paths and aggregating.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::ops::Bound;
 use std::sync::Arc;
 use xia_index::{CowMap, DataType};
-use xia_xml::{Document, NodeId, NodeKind};
+use xia_xml::{Document, NameId, NameTable, NodeId, NodeKind};
 use xia_xpath::{CmpOp, LinearPath, Literal};
 
 /// Identifier of a distinct label path within one collection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PathId(pub u32);
+
+impl PathId {
+    /// No path: a text node's entry in a path column, and the parent of
+    /// the root element in a dictionary transition.
+    pub const NONE: PathId = PathId(u32::MAX);
+}
 
 /// Distinct values kept exactly until this cap, then collapsed.
 const EXACT_CAP: usize = 8192;
@@ -343,20 +350,61 @@ pub struct PathEntry {
     pub stats: PathStats,
 }
 
-/// Dictionary key: the label path plus its attribute-leaf flag.
-type PathKey = (Box<[Box<str>]>, bool);
+/// A dictionary transition packed into one word: the parent path (or
+/// [`PathId::NONE`] for the root element) in the high half, the
+/// collection's name id and the attribute flag in the low half. Name
+/// ids fit in 31 bits: a name table holds at most 4 GiB of names, so
+/// fewer than 2^31 distinct ones.
+fn transition(parent: PathId, name: NameId, is_attr: bool) -> u64 {
+    (u64::from(parent.0) << 32) | (u64::from(name.as_u32()) << 1) | u64::from(is_attr)
+}
+
+/// Hasher for transition words: one multiply-rotate step (the FxHash
+/// scheme). The words are built from the dictionary's own dense ids, so
+/// a document cannot choose colliding keys by its names.
+#[derive(Default, Clone, Copy)]
+struct TransitionHasher(u64);
+
+impl std::hash::Hasher for TransitionHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type Transitions = HashMap<u64, PathId, BuildHasherDefault<TransitionHasher>>;
 
 /// The path dictionary + statistics for one collection.
 ///
-/// Cloning is copy-on-write at two levels: each path's entry and the
-/// dictionary sit behind `Arc`, and each exact value map is a
-/// [`CowMap`]. A commit that adds a document copies only the entries of
-/// the paths the document reaches and, inside them, only the map leaves
-/// its values land in.
+/// The dictionary is keyed by transitions: a node's path is its parent's
+/// path plus its own name and kind, so resolving a document walks its
+/// nodes once in document order and each node costs one hash probe. A
+/// hit allocates nothing; only a path or name the collection has never
+/// seen adds an entry.
+///
+/// Cloning is copy-on-write at two levels: each path's entry, the name
+/// table and the transitions sit behind `Arc`, and each exact value map
+/// is a [`CowMap`]. A commit that adds a document copies only the
+/// entries of the paths the document reaches and, inside them, only the
+/// map leaves its values land in; the name table and transitions are
+/// copied only by a document that brings a new name or path.
 #[derive(Debug, Default, Clone)]
 pub struct CollectionStats {
     entries: Vec<Arc<PathEntry>>,
-    lookup: Arc<HashMap<PathKey, PathId>>,
+    /// Every element and attribute name in the collection, once each;
+    /// append-only.
+    names: Arc<NameTable>,
+    /// `transition(parent, name, is_attr)` → path.
+    transitions: Arc<Transitions>,
     /// Total element+attribute nodes across documents.
     pub total_nodes: u64,
     /// Total document bytes (page accounting input).
@@ -365,78 +413,136 @@ pub struct CollectionStats {
     pub doc_count: u64,
 }
 
+/// Resolve `doc`'s element and attribute nodes to paths, in document
+/// order: `step(parent path, node)` maps a node whose parent path is
+/// known (`PathId::NONE` for the root element) to its own. The column
+/// holds one entry per arena node, `PathId::NONE` for text nodes, for
+/// nodes outside the root element and below a node `step` left
+/// unresolved.
+fn path_column(doc: &Document, mut step: impl FnMut(PathId, NodeId) -> PathId) -> Vec<PathId> {
+    let mut column = vec![PathId::NONE; doc.node_count()];
+    let Some(root) = doc.root_element() else {
+        return column;
+    };
+    for raw in root.as_u32()..doc.end(root) {
+        let node = NodeId::from_u32(raw);
+        if doc.kind(node) == NodeKind::Text {
+            continue;
+        }
+        let parent = match doc.parent(node) {
+            _ if node == root => PathId::NONE,
+            Some(p) if column[p.as_u32() as usize] != PathId::NONE => column[p.as_u32() as usize],
+            _ => continue,
+        };
+        column[raw as usize] = step(parent, node);
+    }
+    column
+}
+
 impl CollectionStats {
     pub fn new() -> CollectionStats {
         CollectionStats::default()
     }
 
-    /// Register a document's nodes into the dictionary.
-    pub fn add_document(&mut self, doc: &Document) {
-        self.apply_document(doc, true);
+    /// Register a document's nodes into the dictionary. Returns the
+    /// document's path column: each arena node's [`PathId`], or
+    /// [`PathId::NONE`] for text nodes.
+    pub fn add_document(&mut self, doc: &Document) -> Vec<PathId> {
+        // The document's name ids mapped to the collection's, filled on
+        // first use.
+        let mut names: Vec<Option<NameId>> = vec![None; doc.names().len()];
+        let column = path_column(doc, |parent, node| {
+            let name = doc.name(node);
+            let slot = &mut names[doc.name_id(node).as_u32() as usize];
+            let id = *slot.get_or_insert_with(|| {
+                let table = &mut self.names;
+                table
+                    .get(name)
+                    .unwrap_or_else(|| Arc::make_mut(table).intern(name))
+            });
+            let is_attr = doc.kind(node) == NodeKind::Attribute;
+            self.path_or_insert(parent, id, name, is_attr)
+        });
+        self.apply_document(doc, &column, true);
         self.total_bytes += doc.byte_size() as u64;
         self.doc_count += 1;
+        column
     }
 
     /// Remove a document's contribution (document deletion).
     pub fn remove_document(&mut self, doc: &Document) {
-        self.apply_document(doc, false);
+        let column = self.path_column(doc);
+        self.apply_document(doc, &column, false);
         self.total_bytes = self.total_bytes.saturating_sub(doc.byte_size() as u64);
         self.doc_count = self.doc_count.saturating_sub(1);
     }
 
-    fn apply_document(&mut self, doc: &Document, add: bool) {
-        let Some(root) = doc.root_element() else {
-            return;
-        };
-        // Reusable label stack mirroring the current ancestor chain.
-        let mut stack: Vec<Box<str>> = Vec::new();
-        self.visit(doc, root, &mut stack, add);
+    /// `doc`'s path column (see [`Self::add_document`]) by lookup alone:
+    /// a node whose path the dictionary lacks maps to `PathId::NONE`, and
+    /// the dictionary is never extended.
+    pub fn path_column(&self, doc: &Document) -> Vec<PathId> {
+        // As in `add_document`; `Some(None)` is a name the collection
+        // lacks.
+        let mut names: Vec<Option<Option<NameId>>> = vec![None; doc.names().len()];
+        path_column(doc, |parent, node| {
+            let slot = &mut names[doc.name_id(node).as_u32() as usize];
+            let Some(id) = *slot.get_or_insert_with(|| self.names.get(doc.name(node))) else {
+                return PathId::NONE;
+            };
+            let is_attr = doc.kind(node) == NodeKind::Attribute;
+            let key = transition(parent, id, is_attr);
+            self.transitions.get(&key).copied().unwrap_or(PathId::NONE)
+        })
     }
 
-    fn visit(&mut self, doc: &Document, node: NodeId, stack: &mut Vec<Box<str>>, add: bool) {
-        stack.push(doc.name(node).into());
-        let value = doc.string_value(node);
-        self.touch(stack, doc.kind(node) == NodeKind::Attribute, &value, add);
-        if doc.kind(node) == NodeKind::Element {
-            for a in doc.attributes(node) {
-                stack.push(doc.name(a).into());
-                let v = doc.value(a).unwrap_or("");
-                self.touch(stack, true, v, add);
-                stack.pop();
-            }
-            for c in doc.child_elements(node) {
-                self.visit(doc, c, stack, add);
-            }
+    /// The path reached from `parent` by a node named `name` (collection
+    /// name id `name_id`), added to the dictionary if it is new.
+    fn path_or_insert(
+        &mut self,
+        parent: PathId,
+        name_id: NameId,
+        name: &str,
+        is_attr: bool,
+    ) -> PathId {
+        let key = transition(parent, name_id, is_attr);
+        if let Some(&id) = self.transitions.get(&key) {
+            return id;
         }
-        stack.pop();
+        let id = PathId(self.entries.len() as u32);
+        let mut labels = match self.entries.get(parent.0 as usize) {
+            Some(p) => p.labels.clone(),
+            None => Vec::new(),
+        };
+        labels.push(name.into());
+        self.entries.push(Arc::new(PathEntry {
+            labels,
+            is_attribute: is_attr,
+            stats: PathStats::default(),
+        }));
+        Arc::make_mut(&mut self.transitions).insert(key, id);
+        id
     }
 
-    fn touch(&mut self, labels: &[Box<str>], is_attr: bool, value: &str, add: bool) {
-        let key = (labels.to_vec().into_boxed_slice(), is_attr);
-        let id = match self.lookup.get(&key) {
-            Some(&id) => id,
-            None => {
-                let id = PathId(self.entries.len() as u32);
-                self.entries.push(Arc::new(PathEntry {
-                    labels: labels.to_vec(),
-                    is_attribute: is_attr,
-                    stats: PathStats::default(),
-                }));
-                Arc::make_mut(&mut self.lookup).insert(key, id);
-                id
+    /// Add (or remove) each resolved node's value to its path's
+    /// statistics, in document order.
+    fn apply_document(&mut self, doc: &Document, column: &[PathId], add: bool) {
+        for (raw, &id) in column.iter().enumerate() {
+            if id == PathId::NONE {
+                continue;
             }
-        };
-        let stats = &mut Arc::make_mut(&mut self.entries[id.0 as usize]).stats;
-        if add {
-            stats.count += 1;
-            stats.byte_len_sum += value.len() as u64;
-            stats.values.add(value);
-            self.total_nodes += 1;
-        } else {
-            stats.count = stats.count.saturating_sub(1);
-            stats.byte_len_sum = stats.byte_len_sum.saturating_sub(value.len() as u64);
-            stats.values.remove(value);
-            self.total_nodes = self.total_nodes.saturating_sub(1);
+            let value = doc.string_value_cow(NodeId::from_u32(raw as u32));
+            let stats = &mut Arc::make_mut(&mut self.entries[id.0 as usize]).stats;
+            if add {
+                stats.count += 1;
+                stats.byte_len_sum += value.len() as u64;
+                stats.values.add(&value);
+                self.total_nodes += 1;
+            } else {
+                stats.count = stats.count.saturating_sub(1);
+                stats.byte_len_sum = stats.byte_len_sum.saturating_sub(value.len() as u64);
+                stats.values.remove(&value);
+                self.total_nodes = self.total_nodes.saturating_sub(1);
+            }
         }
     }
 
@@ -475,7 +581,9 @@ impl CollectionStats {
                 }
             })
             .sum();
-        paths + usize::from(!Arc::ptr_eq(&self.lookup, &base.lookup))
+        paths
+            + usize::from(!Arc::ptr_eq(&self.names, &base.names))
+            + usize::from(!Arc::ptr_eq(&self.transitions, &base.transitions))
     }
 
     /// Append a canonical rendering of every statistic: totals, then per
@@ -785,6 +893,20 @@ mod tests {
                 assert!((0.0..=1.0).contains(&sel), "{op:?} {v}: {sel}");
             }
         }
+    }
+
+    #[test]
+    fn a_lookup_resolves_nothing_below_an_unknown_node() {
+        let mut s = CollectionStats::new();
+        let known = s.add_document(&Document::parse("<r><r a=\"1\"/></r>").unwrap());
+        assert_eq!(known, [PathId(0), PathId(1), PathId(2)]);
+        // `x` is unknown, so its child `r` must not resolve as the root
+        // path `/r` (which its transition from "no parent" would reach).
+        let doc = Document::parse("<x><r a=\"1\">t</r></x>").unwrap();
+        assert_eq!(s.path_column(&doc), [PathId::NONE; 4]);
+        let paths = s.path_count();
+        s.remove_document(&Document::parse("<r><r a=\"1\"/></r>").unwrap());
+        assert_eq!((s.path_count(), s.doc_count, s.total_nodes), (paths, 0, 0));
     }
 
     #[test]

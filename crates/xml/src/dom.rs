@@ -16,6 +16,7 @@
 //! name table's own buffers. Nothing is allocated per node.
 
 use crate::name::{NameId, NameTable};
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 /// Index of a node inside its [`Document`] arena.
@@ -305,26 +306,39 @@ impl Document {
     /// XPath string-value: concatenation of all descendant text for
     /// elements, the stored value for text and attribute nodes.
     pub fn string_value(&self, id: NodeId) -> String {
-        let n = self.node(id);
-        match n.kind {
-            NodeKind::Text | NodeKind::Attribute => self.text_of(n).to_string(),
-            NodeKind::Element => {
-                let mut out = String::new();
-                self.collect_text(id, &mut out);
-                out
-            }
-        }
+        self.string_value_cow(id).into_owned()
     }
 
-    fn collect_text(&self, id: NodeId, out: &mut String) {
-        for c in self.children(id) {
-            let n = self.node(c);
-            match n.kind {
-                NodeKind::Text => out.push_str(self.text_of(n)),
-                NodeKind::Element => self.collect_text(c, out),
-                NodeKind::Attribute => {}
-            }
+    /// [`Document::string_value`], borrowed wherever no concatenation is
+    /// needed: a text or attribute node's stored value, and an element's
+    /// whose subtree holds at most one text node. Only an element with
+    /// several text descendants builds a string.
+    pub fn string_value_cow(&self, id: NodeId) -> Cow<'_, str> {
+        let n = self.node(id);
+        if n.kind != NodeKind::Element {
+            return Cow::Borrowed(self.text_of(n));
         }
+        // The subtree is the arena range after `id`, in document order,
+        // so its text nodes in that order are the concatenation.
+        let texts = || {
+            self.nodes[id.0 as usize + 1..n.end as usize]
+                .iter()
+                .filter(|d| d.kind == NodeKind::Text)
+        };
+        let (mut count, mut len, mut only) = (0, 0, "");
+        for t in texts() {
+            count += 1;
+            len += t.value.len as usize;
+            only = self.text_of(t);
+        }
+        if count <= 1 {
+            return Cow::Borrowed(only);
+        }
+        let mut out = String::with_capacity(len);
+        for t in texts() {
+            out.push_str(self.text_of(t));
+        }
+        Cow::Owned(out)
     }
 
     /// String-value parsed as a number, if it is one (XPath `number()` on
@@ -485,6 +499,23 @@ mod tests {
         let d = doc();
         let root = d.root_element().unwrap();
         assert_eq!(d.string_value(root), "12.5mask7");
+    }
+
+    #[test]
+    fn string_value_cow_borrows_unless_it_concatenates() {
+        let d = Document::parse(r#"<a k="v"><b><c>x</c></b><d/><e>y<f>z</f></e></a>"#).unwrap();
+        let root = d.root_element().unwrap();
+        for n in std::iter::once(root).chain(d.descendants(root)) {
+            let cow = d.string_value_cow(n);
+            assert_eq!(cow, d.string_value(n));
+            let texts = std::iter::once(n)
+                .chain(d.descendants(n))
+                .filter(|&t| d.kind(t) == NodeKind::Text)
+                .count();
+            let owned = d.kind(n) == NodeKind::Element && texts > 1;
+            assert_eq!(matches!(cow, Cow::Owned(_)), owned, "{}", d.name(n));
+        }
+        assert_eq!(d.string_value_cow(root), "xyz");
     }
 
     #[test]

@@ -64,6 +64,16 @@ run_hard cargo test -q --offline -p xia-advisor --lib greedy_sees_atoms_past_the
 # compact blocks, and `byte_size()` (the cost model's page input) keeps
 # its exact values.
 run_hard cargo test -q --offline -p xia-xml --test doc_footprint
+# The path-id differential by name: statistics resolved through the
+# transitions dictionary equal a label-string-keyed reference, path-set
+# membership equals label-path matching on every node, and postings
+# maintained by insert equal those built by create_index and by the
+# reference walk, over generated and XMark documents on two seeds.
+run_hard cargo test -q --offline -p xia-storage --test path_id_differential
+# The INSERT footprint by name: exact allocation counts of statistics
+# and of index maintenance with 0, 2 and 24 indexes for one document
+# added to a warm collection; statistics stay below one per node.
+run_hard cargo test -q --offline -p xia-storage --test insert_footprint
 # The differential oracle: a pinned-seed sweep over the invariants
 # (plan equivalence, containment, parity, durability, estimate sanity,
 # exec-parity between the batched and navigational executors, sampled
@@ -310,6 +320,31 @@ check_whatif_no_optimizer() {
   fi
 }
 check_whatif_no_optimizer
+
+# An INSERT resolves each node to its PathId once, in one dictionary
+# walk; statistics and every index work from that column. The walk to
+# the root per node per index (`collect_labels`) and the label-stack
+# clone per node (`to_vec()` in stats.rs) may not come back outside
+# unit-test modules, where the old walk survives as a reference.
+check_insert_no_label_walk() {
+  echo "==> grep: no per-node label walk on the insert path (index/src, stats.rs)"
+  local bad=0 f
+  for f in $(find crates/index/src -name '*.rs'); do
+    if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" \
+        | grep -E 'collect_labels'; then
+      bad=1
+    fi
+  done
+  if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' \
+      crates/storage/src/stats.rs | grep -E 'to_vec\(\)'; then
+    bad=1
+  fi
+  if [ "$bad" -ne 0 ]; then
+    echo "FAILED: a per-node label walk is back on the insert path (see matches above)" >&2
+    failures=$((failures + 1))
+  fi
+}
+check_insert_no_label_walk
 
 run_if_installed fmt cargo fmt --check
 run_if_installed clippy cargo clippy --offline --all-targets -- -D warnings
