@@ -12,7 +12,10 @@
 //!    get `TIMEOUT`, not a late commit);
 //! 2. **stage**: clone the current snapshot's database — copy-on-write,
 //!    so only the collections the batch touches are actually copied —
-//!    and apply each job to the staged clone;
+//!    validate each job into the [`WalOp`] it will log, and apply that
+//!    op to the staged clone with [`WalOp::apply_parsed`], the applier
+//!    recovery replays the WAL with (so live state and replay cannot
+//!    diverge);
 //! 3. **log**: append every successful op to the WAL with **one**
 //!    write + fsync ([`DurableStore::append_batch`]);
 //! 4. **publish** the staged database as the next snapshot generation;
@@ -27,7 +30,8 @@
 //!
 //! A panic while applying one job is caught per-op: the job is failed,
 //! the staged clone is rebuilt from the base snapshot by replaying the
-//! batch's already-successful ops, and the rest of the batch proceeds.
+//! batch's already-successful ops through the same applier (with the
+//! documents already parsed), and the rest of the batch proceeds.
 //! Published snapshots are immutable, so a panicking writer can never
 //! corrupt what readers see — the poisoned-`RwLock` recovery dance this
 //! architecture replaced is simply gone. If the committer thread itself
@@ -35,13 +39,14 @@
 //! same shared state (counted in `concurrency.committer_restarts`).
 
 use crate::metrics::Metrics;
+use crate::server::heal_lock;
 use crate::snapshot::SnapshotCell;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 use xia_index::{DataType, IndexDefinition, IndexId};
-use xia_storage::{Database, DurableStore, WalOp};
+use xia_storage::{Applied, Database, DurableStore, WalOp};
 use xia_xml::Document;
 use xia_xpath::LinearPath;
 
@@ -211,7 +216,7 @@ impl Committer {
             deadline,
             reply,
         };
-        let mut inner = lock_inner(&self.inner);
+        let mut inner = heal_lock(&self.inner, &self.shared.metrics);
         // Respawn a dead committer thread before accepting the job.
         let dead = match (&inner.tx, &inner.handle) {
             (Some(_), Some(h)) => h.is_finished(),
@@ -258,7 +263,7 @@ impl Committer {
     pub fn stop(&self) {
         self.stopped.store(true, Ordering::SeqCst);
         let (tx, handle) = {
-            let mut inner = lock_inner(&self.inner);
+            let mut inner = heal_lock(&self.inner, &self.shared.metrics);
             (inner.tx.take(), inner.handle.take())
         };
         drop(tx); // committer drains the queue, then its recv disconnects
@@ -280,16 +285,6 @@ impl Committer {
 impl Drop for Committer {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn lock_inner(m: &Mutex<Inner>) -> std::sync::MutexGuard<'_, Inner> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => {
-            m.clear_poison();
-            poisoned.into_inner()
-        }
     }
 }
 
@@ -376,35 +371,47 @@ fn commit_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     let mut staged: Database = base.database().clone();
 
     let mut wal_ops: Vec<WalOp> = Vec::new();
-    // (job, outcome, mutated) for every successfully applied job.
-    let mut applied: Vec<(Job, WriteOutcome, bool)> = Vec::new();
+    // The document each of `wal_ops` was applied with, for a rebuild.
+    let mut parsed: Vec<Option<Arc<Document>>> = Vec::new();
+    // (job, outcome) for every job that committed or was a no-op.
+    let mut applied: Vec<(Job, WriteOutcome)> = Vec::new();
     for job in live {
-        match std::panic::catch_unwind(AssertUnwindSafe(|| apply_cmd(&mut staged, &job.cmd))) {
-            Ok(Ok((outcome, wal_op))) => {
-                let mutated = wal_op.is_some();
-                if let Some(op) = wal_op {
+        let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let (op, doc) = match validate(&staged, &job.cmd)? {
+                Validated::NoOp(outcome) => return Ok((outcome, None)),
+                Validated::Apply(op, doc) => (op, doc),
+            };
+            let done = op
+                .apply_parsed(&mut staged, doc.clone())
+                .ok_or_else(|| format!("cannot apply {op:?}"))?;
+            Ok((WriteOutcome::from(done), Some((op, doc))))
+        }));
+        match step {
+            Ok(Ok((outcome, logged))) => {
+                if let Some((op, doc)) = logged {
                     wal_ops.push(op);
+                    parsed.push(doc);
                 }
-                applied.push((job, outcome, mutated));
+                applied.push((job, outcome));
             }
             Ok(Err(message)) => {
-                // Validation failure: apply_cmd fails before mutating,
-                // so the staged clone is still consistent.
+                // Refused: validation and the applier both refuse
+                // before mutating, so the staged clone is consistent.
                 let _ = job.reply.send(Err(message));
             }
             Err(payload) => {
                 // A panicking op may have left the staged clone half-
                 // mutated. Rebuild it: re-clone the immutable base and
-                // replay the ops that already succeeded (deterministic
-                // by construction — they are exactly the WAL records).
+                // replay the ops that already succeeded through the
+                // same applier, with the documents already parsed.
                 shared
                     .metrics
                     .health
                     .panics_caught
                     .fetch_add(1, Ordering::Relaxed);
                 staged = base.database().clone();
-                for op in &wal_ops {
-                    op.apply(&mut staged);
+                for (op, doc) in wal_ops.iter().zip(&parsed) {
+                    op.apply_parsed(&mut staged, doc.clone());
                 }
                 let what = payload
                     .downcast_ref::<&str>()
@@ -426,16 +433,10 @@ fn commit_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     // published snapshot) untouched — old state on disk AND in memory.
     if !wal_ops.is_empty() {
         if let Some(store) = &shared.store {
-            let mut s = match store.lock() {
-                Ok(g) => g,
-                Err(poisoned) => {
-                    store.clear_poison();
-                    poisoned.into_inner()
-                }
-            };
+            let mut s = heal_lock(store, &shared.metrics);
             if let Err(e) = s.append_batch(&wal_ops) {
                 drop(s);
-                for (job, _, _) in applied {
+                for (job, _) in applied {
                     let _ = job
                         .reply
                         .send(Err(format!("wal append failed (write not applied): {e}")));
@@ -451,8 +452,7 @@ fn commit_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     }
 
     // Visibility: one atomic publish for the whole batch.
-    let mutated_any = applied.iter().any(|(_, _, m)| *m);
-    let generation = if mutated_any {
+    let generation = if !wal_ops.is_empty() {
         shared.cell.publish(staged)
     } else {
         base.generation()
@@ -465,7 +465,7 @@ fn commit_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
         .fetch_add(batch_ops as u64, Ordering::Relaxed);
     c.record_batch_size(wal_ops.len().max(batch_ops));
 
-    for (job, outcome, _) in applied {
+    for (job, outcome) in applied {
         let commit_seq = shared.commit_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let _ = job.reply.send(Ok(Committed {
             outcome,
@@ -484,13 +484,7 @@ fn maybe_checkpoint(shared: &Arc<Shared>) {
     let (Some(store), Some(every)) = (&shared.store, shared.cfg.checkpoint_every) else {
         return;
     };
-    let mut s = match store.lock() {
-        Ok(g) => g,
-        Err(poisoned) => {
-            store.clear_poison();
-            poisoned.into_inner()
-        }
-    };
+    let mut s = heal_lock(store, &shared.metrics);
     if s.wal_records() < every {
         return;
     }
@@ -507,34 +501,37 @@ fn maybe_checkpoint(shared: &Arc<Shared>) {
     }
 }
 
-/// Apply one command to the staged database. Every failure path returns
-/// **before** mutating, so an `Err` leaves the staged clone exactly as
-/// it was.
-fn apply_cmd(
-    staged: &mut Database,
-    cmd: &WriteCmd,
-) -> Result<(WriteOutcome, Option<WalOp>), String> {
-    match cmd {
+/// What validation made of a command.
+enum Validated {
+    /// Log this op, then apply it (with the worker's parsed document).
+    Apply(WalOp, Option<Arc<Document>>),
+    /// Nothing to log or apply; answer with this outcome.
+    NoOp(WriteOutcome),
+}
+
+/// Turn a command into the [`WalOp`] it will log, checked against the
+/// staged database: the collection and index exist, `skip_if_exists`
+/// and CREATE COLLECTION of an existing name are no-ops, and a new
+/// index takes the collection's highest id + 1. Refuses an INSERT into
+/// a missing collection, which the applier alone would create.
+fn validate(staged: &Database, cmd: &WriteCmd) -> Result<Validated, String> {
+    let existing = |collection: &str| {
+        staged
+            .collection(collection)
+            .ok_or_else(|| format!("no collection '{collection}'"))
+    };
+    let op = match cmd {
         WriteCmd::Insert {
             collection,
             doc,
             xml,
         } => {
-            if staged.collection(collection).is_none() {
-                return Err(format!("no collection '{collection}'"));
-            }
-            let coll = staged.collection_mut(collection).expect("checked above");
-            let (id, report) = coll.insert_arc(doc.clone());
-            Ok((
-                WriteOutcome::Inserted {
-                    doc: id.0,
-                    index_entries_touched: report.index_entries_touched,
-                },
-                Some(WalOp::Insert {
-                    collection: collection.clone(),
-                    xml: xml.clone(),
-                }),
-            ))
+            existing(collection)?;
+            let op = WalOp::Insert {
+                collection: collection.clone(),
+                xml: xml.clone(),
+            };
+            return Ok(Validated::Apply(op, Some(doc.clone())));
         }
         WriteCmd::CreateIndex {
             collection,
@@ -542,77 +539,70 @@ fn apply_cmd(
             pattern,
             skip_if_exists,
         } => {
-            let Some(coll) = staged.collection(collection) else {
-                return Err(format!("no collection '{collection}'"));
-            };
-            if *skip_if_exists {
-                if let Some(existing) = coll.indexes().iter().find(|ix| {
-                    ix.definition().data_type == *data_type && ix.definition().pattern == *pattern
-                }) {
-                    return Ok((
-                        WriteOutcome::IndexExisted {
-                            id: existing.definition().id.0,
-                        },
-                        None,
-                    ));
-                }
-            }
-            let next_id = coll
+            let defs = existing(collection)?
                 .indexes()
                 .iter()
-                .map(|ix| ix.definition().id.0)
-                .max()
-                .map_or(1, |m| m + 1);
-            let def = IndexDefinition::new(IndexId(next_id), pattern.clone(), *data_type);
-            let ddl = def.ddl(collection);
-            let coll = staged.collection_mut(collection).expect("checked above");
-            let entries = coll.create_index(def);
-            Ok((
-                WriteOutcome::IndexCreated {
-                    id: next_id,
-                    entries,
-                    ddl,
-                },
-                Some(WalOp::CreateIndex {
-                    collection: collection.clone(),
-                    id: next_id,
-                    data_type: *data_type,
-                    pattern: pattern.to_string(),
-                }),
-            ))
+                .map(|ix| ix.definition());
+            if *skip_if_exists {
+                let same =
+                    |d: &&IndexDefinition| d.data_type == *data_type && d.pattern == *pattern;
+                if let Some(def) = defs.clone().find(same) {
+                    return Ok(Validated::NoOp(WriteOutcome::IndexExisted { id: def.id.0 }));
+                }
+            }
+            WalOp::CreateIndex {
+                collection: collection.clone(),
+                id: defs.map(|d| d.id.0).max().map_or(1, |m| m + 1),
+                data_type: *data_type,
+                pattern: pattern.to_string(),
+            }
         }
         WriteCmd::DropIndex { collection, id } => {
-            let Some(coll) = staged.collection(collection) else {
-                return Err(format!("no collection '{collection}'"));
-            };
-            if !coll
+            if !existing(collection)?
                 .indexes()
                 .iter()
                 .any(|ix| ix.definition().id == IndexId(*id))
             {
                 return Err(format!("no index idx{id}"));
             }
-            let coll = staged.collection_mut(collection).expect("checked above");
-            coll.drop_index(IndexId(*id));
-            Ok((
-                WriteOutcome::IndexDropped { id: *id },
-                Some(WalOp::DropIndex {
-                    collection: collection.clone(),
-                    id: *id,
-                }),
-            ))
+            WalOp::DropIndex {
+                collection: collection.clone(),
+                id: *id,
+            }
         }
         WriteCmd::CreateCollection { collection } => {
-            let created = staged.create_collection(collection);
-            let wal = created.then(|| WalOp::CreateCollection {
+            if staged.collection(collection).is_some() {
+                return Ok(Validated::NoOp(WriteOutcome::CollectionCreated {
+                    created: false,
+                }));
+            }
+            WalOp::CreateCollection {
                 collection: collection.clone(),
-            });
-            Ok((WriteOutcome::CollectionCreated { created }, wal))
+            }
         }
         #[cfg(feature = "testing")]
         WriteCmd::Panic => panic!("injected panic inside the committer (testing feature)"),
         #[cfg(feature = "testing")]
         WriteCmd::Kill => unreachable!("Kill is intercepted before commit_batch"),
+    };
+    Ok(Validated::Apply(op, None))
+}
+
+impl From<Applied> for WriteOutcome {
+    fn from(done: Applied) -> WriteOutcome {
+        match done {
+            Applied::Inserted { doc, report } => WriteOutcome::Inserted {
+                doc: doc.0,
+                index_entries_touched: report.index_entries_touched,
+            },
+            Applied::IndexCreated { id, entries, ddl } => WriteOutcome::IndexCreated {
+                id: id.0,
+                entries,
+                ddl,
+            },
+            Applied::IndexDropped { id } => WriteOutcome::IndexDropped { id: id.0 },
+            Applied::CollectionCreated => WriteOutcome::CollectionCreated { created: true },
+        }
     }
 }
 

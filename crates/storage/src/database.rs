@@ -1,16 +1,15 @@
-//! The top-level database: named collections plus an index-id allocator.
+//! The top-level database: named collections.
 
 use crate::collection::Collection;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use xia_index::IndexId;
 
 /// An in-memory XML database instance.
 ///
 /// Collections are independent (each has its own path dictionary,
-/// statistics and indexes); the database allocates globally unique index
-/// ids so explain output and advisor recommendations can name indexes
-/// unambiguously.
+/// statistics and indexes). Index ids are unique within a collection:
+/// the server's committer gives a new index the collection's highest id
+/// plus one.
 ///
 /// Collections sit behind `Arc`, which makes the database **copy-on-
 /// write**: `Database::clone` copies only the name → `Arc` map, and a
@@ -25,7 +24,6 @@ use xia_index::IndexId;
 #[derive(Debug, Default, Clone)]
 pub struct Database {
     collections: BTreeMap<String, Arc<Collection>>,
-    next_index_id: u32,
 }
 
 impl Database {
@@ -58,12 +56,6 @@ impl Database {
         self.collections.get(name).map(Arc::as_ref)
     }
 
-    /// Shared handle to a collection, for readers that want to keep it
-    /// alive independently of the database clone they pulled it from.
-    pub fn collection_arc(&self, name: &str) -> Option<Arc<Collection>> {
-        self.collections.get(name).cloned()
-    }
-
     /// Exclusive access to a collection. On a copy-on-write clone this
     /// is the point where the touched collection is shallow-copied
     /// (once — later calls in the same clone mutate in place).
@@ -76,22 +68,14 @@ impl Database {
         self.collections.values().map(Arc::as_ref)
     }
 
-    /// Allocate a fresh index id (shared across real and virtual indexes).
-    pub fn allocate_index_id(&mut self) -> IndexId {
-        let id = IndexId(self.next_index_id);
-        self.next_index_id += 1;
-        id
-    }
-
     /// Total pages across all collections (data + indexes).
     pub fn total_pages(&self) -> u64 {
         self.collections().map(Collection::total_pages).sum()
     }
 
-    /// Structural consistency re-check, used after recovering a
-    /// poisoned lock: a panicking writer may have been interrupted
-    /// mid-mutation, so verify the cheap cross-structure invariants
-    /// before trusting the in-memory state again.
+    /// Structural consistency re-check of the cheap cross-structure
+    /// invariants. Its caller is the oracle's durability check, on the
+    /// database a checkpoint + recovery round trip returns.
     pub fn verify(&self) -> Result<(), String> {
         for (name, coll) in &self.collections {
             if name != coll.name() {
@@ -133,14 +117,6 @@ mod tests {
         assert!(!db.create_collection("auctions"), "duplicate rejected");
         assert!(db.collection("auctions").is_some());
         assert!(db.collection("missing").is_none());
-    }
-
-    #[test]
-    fn index_ids_are_unique() {
-        let mut db = Database::new();
-        let a = db.allocate_index_id();
-        let b = db.allocate_index_id();
-        assert_ne!(a, b);
     }
 
     #[test]

@@ -32,10 +32,10 @@
 //! never corruption* — is pinned by `tests/crash_matrix.rs`, which
 //! sweeps every fault point exposed by [`crate::vfs::FaultVfs`].
 
+use crate::collection::{DocId, UpdateReport};
 use crate::database::Database;
 use crate::persist::{load_database_flat, save_collection_with, PersistError};
 use crate::vfs::Vfs;
-use std::fmt;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -122,8 +122,9 @@ fn parse_gen_name(name: &str) -> Option<(u64, bool)> {
 /// reconstructs the live state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalOp {
-    /// Insert a document (canonical serialization) into a collection,
-    /// creating the collection if it does not exist yet.
+    /// Insert a document into a collection, creating the collection if
+    /// it does not exist yet. `xml` is the request's text as the client
+    /// sent it, logged verbatim.
     Insert {
         collection: String,
         xml: String,
@@ -258,18 +259,33 @@ impl WalOp {
     /// applies (e.g. dropping an index that is not there) — recovery
     /// counts but does not fail on those.
     pub fn apply(&self, db: &mut Database) -> bool {
+        self.apply_parsed(db, None).is_some()
+    }
+
+    /// The one applier, for recovery's replay and the committer's ops.
+    /// `parsed` is an INSERT's `xml` already parsed (recovery passes
+    /// `None`). Returns what it did, or `None`, before mutating, when the
+    /// op does not apply. An INSERT into a missing collection creates it,
+    /// so WALs written before `CreateCollection` records still replay.
+    pub fn apply_parsed(
+        &self,
+        db: &mut Database,
+        parsed: Option<Arc<Document>>,
+    ) -> Option<Applied> {
         match self {
             WalOp::Insert { collection, xml } => {
-                let Ok(doc) = Document::parse(xml) else {
-                    return false;
+                let doc = match parsed {
+                    Some(doc) => doc,
+                    None => Arc::new(Document::parse(xml).ok()?),
                 };
                 if db.collection(collection).is_none() {
                     db.create_collection(collection);
                 }
-                db.collection_mut(collection)
+                let (doc, report) = db
+                    .collection_mut(collection)
                     .expect("just ensured")
-                    .insert(doc);
-                true
+                    .insert_arc(doc);
+                Some(Applied::Inserted { doc, report })
             }
             WalOp::CreateIndex {
                 collection,
@@ -277,27 +293,45 @@ impl WalOp {
                 data_type,
                 pattern,
             } => {
-                let Ok(pattern) = LinearPath::parse(pattern) else {
-                    return false;
-                };
-                let Some(coll) = db.collection_mut(collection) else {
-                    return false;
-                };
-                coll.create_index(IndexDefinition::new(IndexId(*id), pattern, *data_type));
-                true
+                let pattern = LinearPath::parse(pattern).ok()?;
+                let coll = db.collection_mut(collection)?;
+                let def = IndexDefinition::new(IndexId(*id), pattern, *data_type);
+                let ddl = def.ddl(collection);
+                let entries = coll.create_index(def);
+                Some(Applied::IndexCreated {
+                    id: IndexId(*id),
+                    entries,
+                    ddl,
+                })
             }
             WalOp::DropIndex { collection, id } => db
-                .collection_mut(collection)
-                .is_some_and(|c| c.drop_index(IndexId(*id))),
-            WalOp::CreateCollection { collection } => db.create_collection(collection),
+                .collection_mut(collection)?
+                .drop_index(IndexId(*id))
+                .then_some(Applied::IndexDropped { id: IndexId(*id) }),
+            WalOp::CreateCollection { collection } => db
+                .create_collection(collection)
+                .then_some(Applied::CollectionCreated),
         }
     }
 }
 
-impl fmt::Display for WalOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.encode())
-    }
+/// What [`WalOp::apply_parsed`] did. The committer answers the write
+/// from it; recovery only counts it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Applied {
+    Inserted {
+        doc: DocId,
+        report: UpdateReport,
+    },
+    IndexCreated {
+        id: IndexId,
+        entries: usize,
+        ddl: String,
+    },
+    IndexDropped {
+        id: IndexId,
+    },
+    CollectionCreated,
 }
 
 // ---------------------------------------------------------------------
@@ -505,28 +539,20 @@ fn replay_wal(vfs: &dyn Vfs, dir: &Path, n: u64, db: &mut Database) -> (usize, u
     };
     let mut applied = 0;
     let mut discarded = 0;
-    let mut offset = 0;
-    while offset < text.len() {
-        // A record is only trustworthy with its newline terminator; a
-        // tail without one is a torn append.
-        let Some(nl) = text[offset..].find('\n') else {
+    let mut rest = text.as_str();
+    while !rest.is_empty() {
+        // A record is only trustworthy with its newline terminator (a
+        // tail without one is a torn append) and a matching CRC.
+        let intact = rest.split_once('\n').and_then(|(line, tail)| {
+            rest = tail;
+            let (crc_hex, payload) = line.split_once(' ')?;
+            let stated = u32::from_str_radix(crc_hex, 16).ok()?;
+            (crc32(payload.as_bytes()) == stated).then_some(payload)
+        });
+        let Some(payload) = intact else {
             discarded += 1;
             break;
         };
-        let line = &text[offset..offset + nl];
-        offset += nl + 1;
-        let Some((crc_hex, payload)) = line.split_once(' ') else {
-            discarded += 1;
-            break;
-        };
-        let Ok(stated) = u32::from_str_radix(crc_hex, 16) else {
-            discarded += 1;
-            break;
-        };
-        if crc32(payload.as_bytes()) != stated {
-            discarded += 1;
-            break;
-        }
         match WalOp::decode(payload) {
             Some(op) if op.apply(db) => applied += 1,
             _ => discarded += 1, // intact but inapplicable: skip, keep going
@@ -661,10 +687,6 @@ impl DurableStore {
         self.vfs.sync(&wal)?;
         self.wal_records += ops.len() as u64;
         Ok(())
-    }
-
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     pub fn generation(&self) -> u64 {

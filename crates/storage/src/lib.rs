@@ -22,8 +22,8 @@ pub mod vfs;
 pub use collection::{Collection, DocId, UpdateReport};
 pub use database::Database;
 pub use durable::{
-    checkpoint_database, crc32, derived_fingerprint, fingerprint, recover_database, DurableStore,
-    Recovered, WalOp,
+    checkpoint_database, crc32, derived_fingerprint, fingerprint, recover_database, Applied,
+    DurableStore, Recovered, WalOp,
 };
 pub use persist::{
     load_collection, load_collection_with, load_database, load_database_with, save_collection,

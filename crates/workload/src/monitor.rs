@@ -205,17 +205,14 @@ impl std::fmt::Debug for WorkloadMonitor {
     }
 }
 
-/// The dedup key: collection plus the query's lowered atoms. Language
+/// The dedup key: collection plus every field of the query's lowered
+/// atoms, literals included — compression's exact-form key. Language
 /// and surface text are deliberately excluded, so equivalent queries in
 /// different surface languages (or with whitespace differences) fold
-/// into one statement.
+/// into one statement; queries that differ only in an atom's flags
+/// (`text()` or not, extraction, OR group) do not.
 fn normalized_key(q: &NormalizedQuery) -> String {
-    use std::fmt::Write as _;
-    let mut key = q.collection.clone();
-    for a in &q.atoms {
-        let _ = write!(key, "\u{1}{a}");
-    }
-    key
+    xia_advisor::compress::exact_key(q)
 }
 
 /// How a full monitor makes room for a new entry.
@@ -584,6 +581,18 @@ mod tests {
         assert_eq!(m.snapshot().entries[0].hits, 3);
         // A genuinely different query does not fold.
         m.observe_text("//item[price > 4]/name", "c").unwrap();
+        assert_eq!(m.len(), 2);
+    }
+
+    /// The two lower to atoms that differ only in `exact`, so ADVISE
+    /// must see (and price) them as two statements.
+    #[test]
+    fn text_step_and_element_form_are_distinct_entries() {
+        let (mut m, _) = monitor(10.0, 16);
+        m.observe_text("/site/regions/europe/item/name/text()", "c")
+            .unwrap();
+        m.observe_text("/site/regions/europe/item/name", "c")
+            .unwrap();
         assert_eq!(m.len(), 2);
     }
 

@@ -128,6 +128,11 @@ run_hard ./target/release/xia-cli fuzz --tenants --seed 42 --budget 4
 # live state equals a from-scratch rebuild, and a one-document commit
 # copies a bounded number of parts at 200 and at 3200 documents.
 run_hard cargo test -q --offline -p xia --test commit_sharing
+# One mutation path by name: every write command, refused and no-op ones
+# included, leaves the published state equal to recovery from its WAL
+# directory, and a panic mid-batch rebuilds the staged state through
+# the WAL applier to the state the same batch reaches without it.
+run_hard cargo test -q --offline -p xia-server --test one_mutation_path
 # The wire golden by name: every command's response bytes (timings
 # masked, STATS as its key set) as the single-file daemon produced them.
 run_hard cargo test -q --offline -p xia-server --test wire_snapshot
@@ -345,6 +350,23 @@ check_insert_no_label_walk() {
   fi
 }
 check_insert_no_label_walk
+
+# A write has one applier: the committer validates each command into
+# the WalOp it logs and applies it with `WalOp::apply_parsed`, which
+# recovery replays the WAL with. A direct mutation or parse in the
+# committer would be a second applier that replay could diverge from.
+# Comment lines and the unit-test module are skipped.
+check_one_mutation_path() {
+  echo "==> grep: the committer mutates only through the WAL applier (server/src/committer.rs)"
+  if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' \
+      crates/server/src/committer.rs \
+      | grep -vE '^[^:]+:[0-9]+: *//' \
+      | grep -E 'insert_arc\(|create_index\(|drop_index\(|create_collection\(|Document::parse\('; then
+    echo "FAILED: crates/server/src/committer.rs applies a write outside WalOp::apply_parsed (see matches above)" >&2
+    failures=$((failures + 1))
+  fi
+}
+check_one_mutation_path
 
 run_if_installed fmt cargo fmt --check
 run_if_installed clippy cargo clippy --offline --all-targets -- -D warnings
